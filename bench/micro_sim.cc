@@ -30,6 +30,23 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleRun);
 
+// The same loop with event retention on, as under a fork executor: every
+// schedule also copies its closure into the retention log.
+void BM_SimulatorScheduleRunRetained(benchmark::State& state) {
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    simulator.Trace().set_enabled(false);
+    simulator.SetEventRetention(true);
+    for (int i = 0; i < 1000; ++i) {
+      simulator.Schedule(i, []() {});
+    }
+    simulator.RunUntilIdle();
+    benchmark::DoNotOptimize(simulator.retained_events());
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_SimulatorScheduleRunRetained);
+
 void BM_SimulatorTimerCancel(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator simulator;

@@ -7,30 +7,22 @@
 // retract their pending timers.
 //
 // The queue is a binary min-heap ordered by (time, sequence) with lazy
-// cancellation: Cancel() just drops the event id from the live set (O(1))
-// and the tombstoned heap entry is discarded when it surfaces or when
-// tombstones outnumber half the heap (a compaction sweep keeps cancel-heavy
-// workloads from accumulating dead entries forever). This makes
-// Schedule/Cancel/pop all O(log n) or better — the previous std::map queue
-// paid rebalancing on every operation — while preserving the exact total
-// order (sequence numbers are unique, so ties cannot reorder).
+// cancellation: Cancel() clears the event's bit in a liveness bitmap indexed
+// by id (ids are issued consecutively, so it need only span the ids from the
+// oldest pending event on) and the tombstoned heap entry is discarded when it
+// surfaces or when tombstones outnumber half the heap.
 //
 // The kernel also supports checkpoint/restore (Snapshot/Restore) for the
-// NEAT fork executor: with event retention enabled, a pristine copy of each
-// scheduled closure is kept keyed by event id, so the full kernel state —
-// clock, sequence counter, RNG, trace length, and the live event set — can
-// be captured as a value and reinstated later on the *same* simulator
-// instance (closures capture pointers into the attached component graph, so
-// a checkpoint is only meaningful where those components still live and are
-// restored alongside it).
+// NEAT fork executor. A checkpoint is reinstated on the *same* instance from
+// retained closure copies, which capture pointers into the attached
+// component graph: it is only meaningful where those components still live
+// and are restored alongside it.
 
 #ifndef SIM_SIMULATOR_H_
 #define SIM_SIMULATOR_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -40,7 +32,8 @@
 
 namespace sim {
 
-// Identifies a scheduled event so it can be cancelled. Ids are never reused.
+// Identifies a scheduled event so it can be cancelled. Ids are consecutive;
+// Restore re-issues an abandoned branch's ids on the restored branch.
 using EventId = uint64_t;
 constexpr EventId kInvalidEventId = 0;
 
@@ -63,8 +56,8 @@ class Simulator {
   // Schedules at an absolute virtual time, which must be >= Now().
   EventId ScheduleAt(Time when, std::function<void()> fn);
 
-  // Cancels a pending event. Returns false if the event already ran, was
-  // already cancelled, or never existed.
+  // Cancels a pending event. Returns false if the event already ran (or is
+  // running), was already cancelled, or was never issued.
   bool Cancel(EventId id);
 
   // Runs events until the queue drains. Returns the number of events run.
@@ -82,19 +75,20 @@ class Simulator {
   bool RunUntilPredicate(const std::function<bool()>& pred, Time deadline);
 
   uint64_t events_executed() const { return events_executed_; }
-  // Scheduled events that are neither run nor cancelled (tombstoned heap
-  // entries are excluded).
-  size_t pending_events() const { return live_.size(); }
+  // Scheduled events that are neither run nor cancelled.
+  size_t pending_events() const { return pending_; }
   // Raw heap entries including tombstones — exposed so tests can pin the
   // compaction bound (heap size stays O(live) under cancel-heavy load).
   size_t heap_size() const { return heap_.size(); }
+  // Ids the liveness bitmap spans — exposed so tests can pin it to O(window).
+  size_t liveness_window() const { return 64 * live_.size(); }
 
   // --- checkpoint / restore ---
   //
   // A Checkpoint is a value: plain scalars, an Rng copy, and the sorted ids
   // of the events that were live at capture time. It deliberately holds no
   // std::function — the closures themselves are recovered from the retention
-  // map on Restore, so a checkpoint can be copied, stored in an LRU, or
+  // vector on Restore, so a checkpoint can be copied, stored in an LRU, or
   // compared without touching captured state.
   struct Checkpoint {
     Time now = kTimeZero;
@@ -111,19 +105,17 @@ class Simulator {
   // Snapshot records only ids and works either way.
   void SetEventRetention(bool retain);
   bool event_retention() const { return retain_events_; }
-  // Stops retaining newly scheduled events WITHOUT discarding the map —
-  // unlike SetEventRetention(false), which tears retention down. Use when a
-  // stretch of execution will never be snapshotted (e.g. a case's teardown
-  // settle): its events are scheduled past every earlier checkpoint's
-  // next_seq, so Restore would discard their retained copies unseen anyway.
-  // No Snapshot may be taken while paused (its live events would not be
+  // Stops retaining new events but keeps the retained ones. Use when a
+  // stretch will never be snapshotted (e.g. a case's teardown settle):
+  // Restore would discard its events' copies unseen. Snapshot throws
+  // std::logic_error while paused (its live events would not be
   // restorable). Resumed by Restore, or by SetEventRetention(true), which
   // re-adopts any still-pending unretained events.
   void PauseEventRetention();
   bool event_retention_paused() const { return retention_paused_; }
   // Retained closures currently held (live, run, and cancelled ones alike
   // until a Restore purges the dead branch) — exposed for memory tests.
-  size_t retained_events() const { return retained_.size(); }
+  size_t retained_events() const { return retained_count_; }
 
   // Captures the kernel state. Quiescent-point rule: callers snapshot
   // between script steps (no event mid-execution); the capture itself is
@@ -132,10 +124,11 @@ class Simulator {
 
   // Reinstates a checkpoint taken earlier on this same instance: rewinds
   // clock/seq/RNG/trace, rebuilds the heap from retained copies of the
-  // checkpoint's live events, and drops retained events scheduled after the
-  // checkpoint (the abandoned branch re-issues those ids deterministically).
-  // Requires event retention to have been on since before the checkpoint;
-  // clears any retention pause (the restored branch is snapshotable again).
+  // checkpoint's live events, drops retained events scheduled after it (the
+  // restored branch re-issues those ids) and clears any retention pause.
+  // Throws std::logic_error, changing nothing, unless retention is on, the
+  // checkpoint is not from this simulator's future, and every live event in
+  // it was retained.
   void Restore(const Checkpoint& checkpoint);
 
  private:
@@ -150,10 +143,22 @@ class Simulator {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
-
+  // live_base_ is a multiple of 64, so an id's bit in its word is id % 64.
+  bool IsLive(EventId id) const {  // id - live_base_ wraps below the base
+    return id - live_base_ < 64 * live_.size() && (live_[(id - live_base_) / 64] >> id % 64 & 1);
+  }
+  void MarkDead(EventId id) {
+    live_[(id - live_base_) / 64] &= ~(uint64_t{1} << id % 64);
+    --pending_;
+  }
+  // Sets an id's bit, sliding the bitmap forward; ids arrive ascending.
+  void MarkLive(EventId id);
+  // Copies an event into its retention slot unless the slot is filled.
+  void Retain(const Event& event);
   // Pops cancelled entries off the top until the heap is empty or live.
   void DropCancelled();
-  // Rebuilds the heap without tombstones (run when they exceed half of it).
+  // Rebuilds the heap without tombstones (run when they exceed half of it;
+  // heap entries beyond pending_ are tombstones).
   void CompactHeap();
   // True when no live event remains (prunes tombstones first).
   bool QueueEmpty();
@@ -165,24 +170,23 @@ class Simulator {
   Time now_ = kTimeZero;
   uint64_t next_seq_ = 1;
   uint64_t events_executed_ = 0;
-  // detlint: allow(snapshot-field): Restore rebuilds the heap from retained_; capturing the pending closures is impossible and unnecessary
+  // detlint: allow(snapshot-field): a checkpoint records only live ids; Restore rebuilds the heap from their retention slots
   std::vector<Event> heap_;
-  std::unordered_set<EventId> live_;
-  // Tombstoned entries still sitting in heap_; drives compaction.
-  // detlint: allow(snapshot-field): bookkeeping for the heap it is rebuilt with; reset by Restore
-  size_t heap_tombstones_ = 0;
-  // Pristine copies for Restore, keyed by id (ordered so a dead branch can
-  // be purged as one contiguous range).
+  // Liveness bitmap: bit b of live_[w] is id live_base_ + 64 * w + b.
+  std::vector<uint64_t> live_;
+  EventId live_base_ = 0;  // a multiple of 64
+  size_t pending_ = 0;     // set bits in live_
   // detlint: allow(snapshot-field): campaign-mode configuration, not per-run state; constant across a fork tree
   bool retain_events_ = false;
-  // detlint: allow(snapshot-field): transient guard around Restore itself; never set at a quiescent capture point
   bool retention_paused_ = false;
-  struct RetainedEvent {
-    Time when;
-    std::function<void()> fn;
-  };
+  // Pristine copies for Restore: slot i holds id retained_base_ + i (an
+  // empty fn if it was never retained), so a dead branch is one suffix.
   // detlint: allow(snapshot-field): the durable event log the checkpoint indexes into; Restore replays it, a snapshot could not copy its closures
-  std::map<EventId, RetainedEvent> retained_;
+  std::vector<Event> retained_;
+  // detlint: allow(snapshot-field): indexes the retention log, which outlives every checkpoint; moves only when retention starts or empties
+  EventId retained_base_ = 0;
+  // detlint: allow(snapshot-field): a count over the retention log's filled slots, maintained wherever they change
+  size_t retained_count_ = 0;
   Rng rng_;
   TraceLog trace_;
 };

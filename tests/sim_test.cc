@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <limits>
+#include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -409,6 +413,128 @@ TEST(SimulatorSnapshot, RetentionAdoptsAlreadyPendingEvents) {
   EXPECT_EQ(ran, 2);  // the adopted copy replays like a schedule-time one
 }
 
+// --- cancel edge cases and bookkeeping bounds ---
+
+TEST(SimulatorTest, CancelOfInvalidOrUnissuedIdsFails) {
+  Simulator s;
+  EXPECT_FALSE(s.Cancel(kInvalidEventId));
+  const EventId id = s.Schedule(Milliseconds(1), []() {});
+  EXPECT_FALSE(s.Cancel(id + 1));  // the next id, not yet issued
+  EXPECT_FALSE(s.Cancel(id + 1000));
+  EXPECT_FALSE(s.Cancel(kInvalidEventId));
+  EXPECT_EQ(s.pending_events(), 1u);
+  EXPECT_TRUE(s.Cancel(id));
+}
+
+TEST(SimulatorTest, RunningEventCannotCancelItself) {
+  Simulator s;
+  EventId self = kInvalidEventId;
+  bool cancelled = true;
+  self = s.Schedule(Milliseconds(1), [&]() { cancelled = s.Cancel(self); });
+  EXPECT_EQ(s.RunUntilIdle(), 1u);
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+// A self-rescheduling timer chain (the heartbeat shape) keeps at most a
+// couple of ids pending, so the liveness bitmap must slide with it instead
+// of spanning every id ever issued.
+TEST(SimulatorTest, LivenessWindowStaysBoundedOverAMillionEvents) {
+  Simulator s;
+  s.Trace().set_enabled(false);
+  constexpr uint64_t kEvents = 1000000;
+  size_t widest = 0;
+  std::function<void()> tick = [&]() {
+    widest = std::max(widest, s.liveness_window());
+    if (s.events_executed() < kEvents) {
+      s.Schedule(Microseconds(1), tick);
+    }
+  };
+  s.Schedule(Microseconds(1), tick);
+  EXPECT_EQ(s.RunUntilIdle(), kEvents);
+  EXPECT_LE(widest, 128u);
+  EXPECT_LE(s.heap_size(), 1u);
+}
+
+// A long-pending timer pins the window open; once it is cancelled the
+// window slides past the dead prefix again.
+TEST(SimulatorTest, LivenessWindowShrinksOnceALongPendingTimerGoes) {
+  Simulator s;
+  const EventId long_timer = s.Schedule(Seconds(100), []() {});
+  for (int i = 0; i < 10000; ++i) {
+    s.Schedule(Microseconds(1), []() {});
+    s.RunFor(Microseconds(1));
+  }
+  EXPECT_GE(s.liveness_window(), 10000u);
+  EXPECT_TRUE(s.Cancel(long_timer));
+  for (int i = 0; i < 256; ++i) {
+    s.Schedule(Microseconds(1), []() {});
+    s.RunFor(Microseconds(1));
+  }
+  EXPECT_LE(s.liveness_window(), 128u);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(SimulatorSnapshot, AbandonedBranchIdsCancelAsFalseUntilReissued) {
+  Simulator s;
+  s.SetEventRetention(true);
+  const Simulator::Checkpoint checkpoint = s.Snapshot();
+  const EventId abandoned = s.Schedule(Milliseconds(5), []() {});
+  EXPECT_EQ(s.retained_events(), 1u);
+  s.Restore(checkpoint);
+  EXPECT_EQ(s.retained_events(), 0u);
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_FALSE(s.Cancel(abandoned));
+  const EventId reissued = s.Schedule(Milliseconds(7), []() {});
+  EXPECT_EQ(reissued, abandoned);
+  EXPECT_TRUE(s.Cancel(abandoned));
+}
+
+// Restore/Snapshot preconditions are programming errors that must surface
+// in every build type, not only where assert() is compiled in.
+TEST(SimulatorSnapshot, RestoreWithoutRetentionThrows) {
+  Simulator s;
+  const Simulator::Checkpoint checkpoint = s.Snapshot();
+  EXPECT_THROW(s.Restore(checkpoint), std::logic_error);
+}
+
+TEST(SimulatorSnapshot, RestoreOfACheckpointFromTheFutureThrows) {
+  Simulator s;
+  s.SetEventRetention(true);
+  const Simulator::Checkpoint past = s.Snapshot();
+  s.Schedule(Milliseconds(1), []() {});
+  s.RunUntilIdle();
+  const Simulator::Checkpoint later = s.Snapshot();
+  s.Restore(past);
+  EXPECT_THROW(s.Restore(later), std::logic_error);
+  Simulator::Checkpoint forged;
+  forged.next_seq = 1000;
+  EXPECT_THROW(s.Restore(forged), std::logic_error);
+}
+
+TEST(SimulatorSnapshot, RestoreOfAnUnretainedLiveEventThrowsAndChangesNothing) {
+  Simulator s;
+  s.Schedule(Milliseconds(1), []() {});
+  const Simulator::Checkpoint checkpoint = s.Snapshot();  // retention off
+  s.RunUntilIdle();  // the event runs before retention could adopt it
+  s.SetEventRetention(true);
+  const EventId pending = s.Schedule(Milliseconds(3), []() {});
+  EXPECT_THROW(s.Restore(checkpoint), std::logic_error);
+  EXPECT_EQ(s.Now(), Milliseconds(1));
+  EXPECT_EQ(s.pending_events(), 1u);
+  EXPECT_EQ(s.retained_events(), 1u);
+  EXPECT_TRUE(s.Cancel(pending));
+}
+
+TEST(SimulatorSnapshot, SnapshotWhileRetentionIsPausedThrows) {
+  Simulator s;
+  s.SetEventRetention(true);
+  s.PauseEventRetention();
+  EXPECT_THROW(s.Snapshot(), std::logic_error);
+  s.SetEventRetention(true);  // resumes
+  EXPECT_NO_THROW(s.Snapshot());
+}
+
 TEST(TraceTest, FilterByComponentPrefix) {
   TraceLog log;
   log.Append(1, "pbkv.n1", "elected");
@@ -623,6 +749,204 @@ TEST(SimulatorProperty, MatchesReferenceModelUnderRandomSchedules) {
 
 }  // namespace
 }  // namespace sim_property
+
+namespace sim_oracle {
+namespace {
+
+// Differential oracle for the kernel's event bookkeeping: seeded random
+// programs drive a Simulator and a naive reference — an ordered map keyed by
+// (time, id) for the queue, a map from id to its retained (time, tag), and
+// the live id set as the queue's ids — through Schedule/ScheduleAt, Cancel
+// (of live, run, cancelled, never-issued and abandoned-branch ids),
+// RunUntil/RunFor/RunUntilIdle, Snapshot/Restore and retention switching.
+// After every step the execution order, each Cancel result,
+// pending_events(), retained_events() and every Checkpoint::live must
+// agree.
+struct Reference {
+  sim::Time now = sim::kTimeZero;
+  sim::EventId next_seq = 1;
+  std::map<std::pair<sim::Time, sim::EventId>, int> queue;  // -> tag
+  std::map<sim::EventId, sim::Time> live;                   // id -> time
+  std::map<sim::EventId, std::pair<sim::Time, int>> retained;
+  bool retain = false;
+  bool paused = false;
+  std::vector<int> log;
+
+  void Schedule(sim::Time when, int tag) {
+    const sim::EventId id = next_seq++;
+    queue[{when, id}] = tag;
+    live[id] = when;
+    if (retain && !paused) {
+      retained.emplace(id, std::make_pair(when, tag));
+    }
+  }
+  bool Cancel(sim::EventId id) {
+    const auto it = live.find(id);
+    if (it == live.end()) {
+      return false;
+    }
+    queue.erase({it->second, id});
+    live.erase(it);
+    return true;
+  }
+  void RunUntil(sim::Time deadline, bool advance) {
+    while (!queue.empty() && queue.begin()->first.first <= deadline) {
+      const auto [key, tag] = *queue.begin();
+      queue.erase(queue.begin());
+      live.erase(key.second);
+      now = key.first;
+      log.push_back(tag);
+      if (tag % 5 == 0) {  // mirrors MakeEvent's follow-up
+        Schedule(now + tag % 17, tag + 1);
+      }
+    }
+    if (advance) {
+      now = std::max(now, deadline);
+    }
+  }
+  void SetRetention(bool on) {
+    if (on && (!retain || paused)) {
+      for (const auto& [id, when] : live) {
+        retained.emplace(id, std::make_pair(when, queue.at({when, id})));
+      }
+    }
+    if (!on) {
+      retained.clear();
+    }
+    retain = on;
+    paused = false;
+  }
+};
+
+std::function<void()> MakeEvent(sim::Simulator* s, std::vector<int>* log, int tag) {
+  return [s, log, tag]() {
+    log->push_back(tag);
+    if (tag % 5 == 0) {
+      s->Schedule(tag % 17, MakeEvent(s, log, tag + 1));
+    }
+  };
+}
+
+std::vector<sim::EventId> LiveIds(const Reference& ref) {
+  std::vector<sim::EventId> ids;
+  for (const auto& [id, when] : ref.live) {
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(SimulatorOracle, MatchesNaiveReferenceOnRandomPrograms) {
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    sim::Simulator s;
+    Reference ref;
+    std::vector<int> log;
+    std::vector<std::pair<sim::Simulator::Checkpoint, Reference>> saved;
+    sim::EventId max_issued = 0;
+    int next_tag = 0;
+    for (int step = 0; step < 120; ++step) {
+      const uint64_t op = rng.NextBelow(100);
+      if (op < 30) {
+        // Mostly single events, sometimes a burst that carries the ids
+        // across several bitmap words.
+        const uint64_t count = rng.NextBool(0.1) ? 1 + rng.NextBelow(150) : 1;
+        for (uint64_t i = 0; i < count; ++i) {
+          const sim::Duration delay = static_cast<sim::Duration>(rng.NextBelow(40));
+          const int tag = next_tag++;
+          const sim::EventId id =
+              rng.NextBool(0.5) ? s.Schedule(delay, MakeEvent(&s, &log, tag))
+                                : s.ScheduleAt(s.Now() + delay, MakeEvent(&s, &log, tag));
+          ASSERT_EQ(id, ref.next_seq);
+          ref.Schedule(ref.now + delay, tag);
+        }
+      } else if (op < 50) {
+        sim::EventId id = sim::kInvalidEventId;
+        switch (rng.NextBelow(4)) {
+          case 0:  // a live id, when there is one
+            if (!ref.live.empty()) {
+              id = std::next(ref.live.begin(), rng.NextBelow(ref.live.size()))->first;
+            }
+            break;
+          case 1:  // any issued id: live, run or cancelled
+            id = 1 + rng.NextBelow(ref.next_seq);
+            break;
+          case 2:  // abandoned-branch or never-issued ids
+            id = ref.next_seq + rng.NextBelow(max_issued + 3 - std::min(max_issued, ref.next_seq));
+            break;
+          default:
+            break;  // kInvalidEventId
+        }
+        ASSERT_EQ(s.Cancel(id), ref.Cancel(id)) << "cancel " << id;
+      } else if (op < 68) {
+        const sim::Duration delta = static_cast<sim::Duration>(rng.NextBelow(30));
+        if (rng.NextBool(0.5)) {
+          s.RunFor(delta);
+        } else {
+          s.RunUntil(s.Now() + delta);
+        }
+        ref.RunUntil(ref.now + delta, /*advance=*/true);
+      } else if (op < 71) {
+        s.RunUntilIdle();
+        ref.RunUntil(std::numeric_limits<sim::Time>::max(), /*advance=*/false);
+      } else if (op < 80) {
+        if (ref.paused) {
+          ASSERT_THROW(s.Snapshot(), std::logic_error);
+        } else {
+          sim::Simulator::Checkpoint checkpoint = s.Snapshot();
+          ASSERT_EQ(checkpoint.live, LiveIds(ref));
+          ASSERT_EQ(checkpoint.next_seq, ref.next_seq);
+          saved.emplace_back(std::move(checkpoint), ref);
+        }
+      } else if (op < 90) {
+        if (saved.empty()) {
+          continue;
+        }
+        const auto& [checkpoint, then] = saved[rng.NextBelow(saved.size())];
+        const bool valid =
+            ref.retain && checkpoint.next_seq <= ref.next_seq &&
+            std::all_of(then.live.begin(), then.live.end(),
+                        [&](const auto& entry) { return ref.retained.count(entry.first) != 0; });
+        if (!valid) {
+          ASSERT_THROW(s.Restore(checkpoint), std::logic_error);
+        } else {
+          s.Restore(checkpoint);
+          ref.retained.erase(ref.retained.lower_bound(checkpoint.next_seq), ref.retained.end());
+          ref.queue.clear();
+          ref.live.clear();
+          for (const auto& [id, when] : then.live) {
+            const auto& [retained_when, tag] = ref.retained.at(id);
+            ref.queue[{retained_when, id}] = tag;
+            ref.live[id] = retained_when;
+          }
+          ref.now = then.now;
+          ref.next_seq = checkpoint.next_seq;
+          ref.paused = false;
+          log = then.log;  // the harness's own state, restored alongside
+          ref.log = then.log;
+        }
+      } else if (op < 94) {
+        if (ref.retain) {
+          s.PauseEventRetention();
+          ref.paused = true;
+        }
+      } else {
+        const bool on = rng.NextBool(0.8);
+        s.SetEventRetention(on);
+        ref.SetRetention(on);
+      }
+      max_issued = std::max(max_issued, ref.next_seq - 1);
+      ASSERT_EQ(log, ref.log) << "step " << step;
+      ASSERT_EQ(s.Now(), ref.now);
+      ASSERT_EQ(s.pending_events(), ref.live.size());
+      ASSERT_EQ(s.retained_events(), ref.retained.size());
+      ASSERT_EQ(s.event_retention_paused(), ref.paused);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace sim_oracle
 
 namespace sim_golden {
 namespace {
