@@ -165,6 +165,12 @@ struct GoldenCase {
   bool with_baseline;
 };
 
+// Without this, gtest prints the case as a raw byte dump that includes the
+// `name` pointer, so the listed test names change with every load address.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << '"' << c.name << '"' << (c.with_baseline ? " +baseline" : "");
+}
+
 class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTest, MatchesGoldenJson) {
