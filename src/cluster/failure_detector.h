@@ -7,7 +7,9 @@
 //
 // The detector is passive: the owning Process drives it from a periodic
 // timer (send heartbeats, then evaluate timeouts) and feeds it received
-// heartbeats. This keeps all scheduling epoch-guarded by the owner.
+// heartbeats. This keeps all scheduling epoch-guarded by the owner. It is a
+// plain value: the owner keeps it in its snapshotted State, so a fork
+// rewinds the detector's view with the rest of the process.
 
 #ifndef CLUSTER_FAILURE_DETECTOR_H_
 #define CLUSTER_FAILURE_DETECTOR_H_
@@ -41,6 +43,9 @@ class FailureDetector {
   };
 
   FailureDetector(net::NodeId self, std::vector<net::NodeId> peers, Options options);
+  // A detector with no peers, for owners that assign the configured one in
+  // their constructor body.
+  FailureDetector() = default;
 
   // Marks every peer as freshly heard-from; call on (re)start so a booting
   // node does not instantly declare the world dead.
@@ -64,19 +69,12 @@ class FailureDetector {
   const Options& options() const { return options_; }
   net::NodeId self() const { return self_; }
 
-  // Snapshot/restore of the mutable view (self/peers/options are fixed
-  // configuration). Used by the owning process's state capture.
-  const std::map<net::NodeId, sim::Time>& last_heard() const { return last_heard_; }
-  void set_last_heard(std::map<net::NodeId, sim::Time> last_heard) {
-    last_heard_ = std::move(last_heard);
-  }
-
  private:
   sim::Duration DeathTimeout() const {
     return options_.interval * options_.miss_threshold;
   }
 
-  net::NodeId self_;
+  net::NodeId self_ = net::kInvalidNode;
   std::vector<net::NodeId> peers_;
   Options options_;
   std::map<net::NodeId, sim::Time> last_heard_;

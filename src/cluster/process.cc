@@ -9,77 +9,75 @@ Process::Process(sim::Simulator* simulator, net::Network* network, net::NodeId i
     : simulator_(simulator), network_(network), id_(id), name_(std::move(name)) {}
 
 Process::~Process() {
-  if (!crashed_) {
+  if (!s_.crashed) {
     network_->Register(id_, nullptr);
   }
 }
 
 void Process::RegisterHandler() {
   network_->Register(id_, [this](const net::Envelope& envelope) {
-    if (!crashed_) {
+    if (!s_.crashed) {
       OnMessage(envelope);
     }
   });
 }
 
 void Process::Boot() {
-  assert(crashed_ && "Boot on a running process");
-  crashed_ = false;
-  ++epoch_;
+  assert(s_.crashed && "Boot on a running process");
+  s_.crashed = false;
+  ++s_.epoch;
   RegisterHandler();
-  if (booted_once_) {
+  if (s_.booted_once) {
     OnRestart();
   }
-  booted_once_ = true;
+  s_.booted_once = true;
   OnStart();
 }
 
 void Process::Crash() {
-  if (crashed_) {
+  if (s_.crashed) {
     return;
   }
-  crashed_ = true;
-  ++epoch_;  // invalidates every pending timer
+  s_.crashed = true;
+  ++s_.epoch;  // invalidates every pending timer
   network_->Register(id_, nullptr);
   TraceEvent("crash");
   OnCrash();
 }
 
 void Process::Restart() {
-  assert(crashed_ && "Restart on a running process");
+  assert(s_.crashed && "Restart on a running process");
   TraceEvent("restart");
   Boot();
 }
 
 void Process::RestoreKernel(const KernelState& state) {
-  if (crashed_ != state.crashed) {
+  if (s_.crashed != state.crashed) {
     if (state.crashed) {
       network_->Register(id_, nullptr);
     } else {
       RegisterHandler();
     }
   }
-  epoch_ = state.epoch;
-  crashed_ = state.crashed;
-  booted_once_ = state.booted_once;
+  s_ = state;
 }
 
 sim::EventId Process::After(sim::Duration delay, std::function<void()> fn) {
-  const uint64_t epoch = epoch_;
+  const uint64_t epoch = s_.epoch;
   return simulator_->Schedule(delay, [this, epoch, fn = std::move(fn)]() {
-    if (!crashed_ && epoch_ == epoch) {
+    if (!s_.crashed && s_.epoch == epoch) {
       fn();
     }
   });
 }
 
 void Process::Every(sim::Duration period, std::function<void()> fn) {
-  ScheduleTick(epoch_, period, std::move(fn));
+  ScheduleTick(s_.epoch, period, std::move(fn));
 }
 
 void Process::ScheduleTick(uint64_t epoch, sim::Duration period, std::function<void()> fn) {
   simulator_->Schedule(period, [this, epoch, period, fn = std::move(fn)]() mutable {
-    if (crashed_ || epoch_ != epoch) {
+    if (s_.crashed || s_.epoch != epoch) {
       return;
     }
     fn();

@@ -44,22 +44,22 @@ class Process {
 
   net::NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
-  bool crashed() const { return crashed_; }
-  uint64_t incarnation() const { return epoch_; }
+  bool crashed() const { return s_.crashed; }
+  uint64_t incarnation() const { return s_.epoch; }
 
   // --- snapshot / restore (NEAT fork executor) ---
   //
   // The kernel-level incarnation state. Subclasses capture their own fields
   // separately; this covers what Process itself owns. Restoring the epoch
   // exactly matters: pending timers retained by the simulator guard on
-  // `epoch_ == epoch`, so a rewound process must present the epoch its
+  // `s_.epoch == epoch`, so a rewound process must present the epoch its
   // timers were scheduled under.
   struct KernelState {
     uint64_t epoch = 0;
-    bool crashed = true;
+    bool crashed = true;  // not booted yet
     bool booted_once = false;
   };
-  KernelState CaptureKernel() const { return KernelState{epoch_, crashed_, booted_once_}; }
+  KernelState CaptureKernel() const { return s_; }
   // Reinstates the kernel state, re-registering with (or detaching from)
   // the network when the crashed-ness differs from the current one. Does
   // not run the OnStart/OnRestart/OnCrash hooks — the subclass restores its
@@ -103,13 +103,9 @@ class Process {
 
   sim::Simulator* simulator_;
   net::Network* network_;
-  // detlint: allow(snapshot-field): node identity is fixed at construction; RestoreKernel asserts it, never rewrites it
-  net::NodeId id_;
-  // detlint: allow(snapshot-field): debug label fixed at construction; not part of the replayed state
-  std::string name_;
-  uint64_t epoch_ = 0;
-  bool crashed_ = true;  // not booted yet
-  bool booted_once_ = false;
+  const net::NodeId id_;
+  const std::string name_;  // debug label; not part of the replayed state
+  KernelState s_;
 };
 
 }  // namespace cluster

@@ -1,7 +1,6 @@
 #include "neat/adapters.h"
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
 #include <utility>
 
@@ -10,6 +9,7 @@
 #include "neat/coverage.h"
 #include "neat/trace_report.h"
 #include "neat/trace_scan.h"
+#include "sim/value_snapshot.h"
 
 namespace neat {
 namespace {
@@ -83,76 +83,48 @@ void SchedSystem::Shutdown() {
 
 // --- system snapshots ---
 //
-// Each adapter's snapshot wraps its cluster's CaptureState (environment
-// plus every process) in a SystemState. The concrete types stay private to
-// this translation unit; Restore type-checks with a dynamic_cast, which
-// also enforces the same-system half of the contract.
-
-namespace {
-
-struct PbkvSystemState : SystemState {
-  explicit PbkvSystemState(pbkv::Cluster::State captured) : state(std::move(captured)) {}
-  pbkv::Cluster::State state;
-};
-
-struct RaftKvSystemState : SystemState {
-  explicit RaftKvSystemState(raftkv::Cluster::State captured) : state(std::move(captured)) {}
-  raftkv::Cluster::State state;
-};
-
-struct LocksvcSystemState : SystemState {
-  LocksvcSystemState(locksvc::Cluster::State captured, int probe)
-      : state(std::move(captured)), status_probe(probe) {}
-  locksvc::Cluster::State state;
-  int status_probe = 0;
-};
-
-struct MqueueSystemState : SystemState {
-  explicit MqueueSystemState(mqueue::Cluster::State captured) : state(std::move(captured)) {}
-  mqueue::Cluster::State state;
-};
-
-}  // namespace
+// Each adapter's snapshot is its cluster's CaptureState (environment plus
+// every process) as a value in a sim::ValueSnapshot. Restore unboxes it
+// with sim::SnapshotValue, which throws std::logic_error on another
+// system's snapshot — the same-system half of the contract.
 
 std::unique_ptr<SystemState> PbkvSystem::Snapshot() const {
-  return std::make_unique<PbkvSystemState>(cluster_.CaptureState());
+  return sim::MakeValueSnapshot<SystemState>(cluster_.CaptureState());
 }
 
 void PbkvSystem::Restore(const SystemState& state) {
-  const auto* snapshot = dynamic_cast<const PbkvSystemState*>(&state);
-  assert(snapshot != nullptr && "pbkv restore needs a pbkv snapshot");
-  cluster_.RestoreState(snapshot->state);
+  cluster_.RestoreState(sim::SnapshotValue<pbkv::Cluster::State>(state));
 }
 
 std::unique_ptr<SystemState> RaftKvSystem::Snapshot() const {
-  return std::make_unique<RaftKvSystemState>(cluster_.CaptureState());
+  return sim::MakeValueSnapshot<SystemState>(cluster_.CaptureState());
 }
 
 void RaftKvSystem::Restore(const SystemState& state) {
-  const auto* snapshot = dynamic_cast<const RaftKvSystemState*>(&state);
-  assert(snapshot != nullptr && "raftkv restore needs a raftkv snapshot");
-  cluster_.RestoreState(snapshot->state);
+  cluster_.RestoreState(sim::SnapshotValue<raftkv::Cluster::State>(state));
 }
 
+namespace {
+using LocksvcSystemState = std::pair<locksvc::Cluster::State, int>;  // + status probe
+}  // namespace
+
 std::unique_ptr<SystemState> LocksvcSystem::Snapshot() const {
-  return std::make_unique<LocksvcSystemState>(cluster_.CaptureState(), status_probe_);
+  return sim::MakeValueSnapshot<SystemState>(
+      LocksvcSystemState{cluster_.CaptureState(), status_probe_});
 }
 
 void LocksvcSystem::Restore(const SystemState& state) {
-  const auto* snapshot = dynamic_cast<const LocksvcSystemState*>(&state);
-  assert(snapshot != nullptr && "locksvc restore needs a locksvc snapshot");
-  cluster_.RestoreState(snapshot->state);
-  status_probe_ = snapshot->status_probe;
+  const auto& [cluster, status_probe] = sim::SnapshotValue<LocksvcSystemState>(state);
+  cluster_.RestoreState(cluster);
+  status_probe_ = status_probe;
 }
 
 std::unique_ptr<SystemState> MqueueSystem::Snapshot() const {
-  return std::make_unique<MqueueSystemState>(cluster_.CaptureState());
+  return sim::MakeValueSnapshot<SystemState>(cluster_.CaptureState());
 }
 
 void MqueueSystem::Restore(const SystemState& state) {
-  const auto* snapshot = dynamic_cast<const MqueueSystemState*>(&state);
-  assert(snapshot != nullptr && "mqueue restore needs an mqueue snapshot");
-  cluster_.RestoreState(snapshot->state);
+  cluster_.RestoreState(sim::SnapshotValue<mqueue::Cluster::State>(state));
 }
 
 namespace {
@@ -192,11 +164,11 @@ class PartitionScript {
   PartitionScript(TestEnv& env, net::Group servers)
       : env_(env), servers_(std::move(servers)) {}
 
-  bool partitioned() const { return partitioned_; }
-  net::NodeId isolated() const { return isolated_; }
+  bool partitioned() const { return s_.partitioned; }
+  net::NodeId isolated() const { return s_.isolated; }
 
   void Partition(PartitionKind kind, net::NodeId isolated) {
-    isolated_ = isolated;
+    s_.isolated = isolated;
     net::Group rest = net::Partitioner::Rest(servers_, {isolated});
     if (kind == PartitionKind::kPartial) {
       // Cut the isolated node from all but one bridge replica.
@@ -212,24 +184,24 @@ class PartitionScript {
     Heal();
     switch (kind) {
       case PartitionKind::kComplete:
-        partition_ = env_.partitioner().Complete(side_a, side_b);
+        s_.partition = env_.partitioner().Complete(side_a, side_b);
         break;
       case PartitionKind::kPartial:
-        partition_ = env_.partitioner().Partial(side_a, side_b);
+        s_.partition = env_.partitioner().Partial(side_a, side_b);
         break;
       case PartitionKind::kSimplex:
-        partition_ = env_.partitioner().Simplex(side_a, side_b);
+        s_.partition = env_.partitioner().Simplex(side_a, side_b);
         break;
     }
-    partitioned_ = true;
+    s_.partitioned = true;
     sim::Simulator& simulator = env_.simulator();
     simulator.Trace().Append(simulator.Now(), "neat", "partition", PartitionKindName(kind));
   }
 
   void Heal() {
-    if (partitioned_) {
-      env_.partitioner().Heal(partition_);
-      partitioned_ = false;
+    if (s_.partitioned) {
+      env_.partitioner().Heal(s_.partition);
+      s_.partitioned = false;
       sim::Simulator& simulator = env_.simulator();
       simulator.Trace().Append(simulator.Now(), "neat", "heal");
     }
@@ -243,20 +215,13 @@ class PartitionScript {
     net::Partition partition;
     net::NodeId isolated = net::kInvalidNode;
   };
-  State CaptureState() const { return State{partitioned_, partition_, isolated_}; }
-  void RestoreState(const State& state) {
-    partitioned_ = state.partitioned;
-    partition_ = state.partition;
-    isolated_ = state.isolated;
-  }
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
 
  private:
   TestEnv& env_;
-  // detlint: allow(snapshot-field): script topology is fixed at construction and never mutated mid-run
-  net::Group servers_;
-  bool partitioned_ = false;
-  net::Partition partition_;
-  net::NodeId isolated_ = net::kInvalidNode;
+  const net::Group servers_;
+  State s_;
 };
 
 // Samples ISystem::StateDigest between test events and turns the observed
@@ -267,24 +232,25 @@ class PartitionScript {
 // the whole trace at Finish.
 class StateObserver {
  public:
-  StateObserver(ISystem& system, const sim::TraceLog& trace)
-      : system_(system), trace_(trace), last_(system.StateDigest()) {}
+  StateObserver(ISystem& system, const sim::TraceLog& trace) : system_(system), trace_(trace) {
+    s_.last = system.StateDigest();
+  }
 
   void Observe() {
     const uint64_t digest = system_.StateDigest();
-    if (digest != last_) {
-      features_.push_back(StateTransitionFeature(last_, digest));
-      last_ = digest;
+    if (digest != s_.last) {
+      s_.features.push_back(StateTransitionFeature(s_.last, digest));
+      s_.last = digest;
     }
-    scan_.Advance(trace_);
+    s_.scan.Advance(trace_);
   }
 
   // The run's full coverage: trace-derived features plus the observed
   // state transitions, sorted and deduplicated.
   std::vector<std::string> Finish() {
-    scan_.Advance(trace_);
-    std::vector<std::string> features = scan_.Features();
-    features.insert(features.end(), features_.begin(), features_.end());
+    s_.scan.Advance(trace_);
+    std::vector<std::string> features = s_.scan.Features();
+    features.insert(features.end(), s_.features.begin(), s_.features.end());
     std::sort(features.begin(), features.end());
     features.erase(std::unique(features.begin(), features.end()), features.end());
     return features;
@@ -292,8 +258,8 @@ class StateObserver {
 
   // What Summarize(trace) would report — served from the fold.
   TraceReport Report() {
-    scan_.Advance(trace_);
-    return scan_.Report(trace_);
+    s_.scan.Advance(trace_);
+    return s_.scan.Report(trace_);
   }
 
   struct State {
@@ -301,19 +267,13 @@ class StateObserver {
     std::vector<std::string> features;
     TraceScan scan;
   };
-  State CaptureState() const { return State{last_, features_, scan_}; }
-  void RestoreState(const State& state) {
-    last_ = state.last;
-    features_ = state.features;
-    scan_ = state.scan;
-  }
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
 
  private:
   ISystem& system_;
   const sim::TraceLog& trace_;
-  uint64_t last_;
-  std::vector<std::string> features_;
-  TraceScan scan_;
+  State s_;
 };
 
 // --- per-system case runners ---
@@ -324,14 +284,39 @@ class StateObserver {
 // after. The Run*TestCase wrappers below drive a fresh runner straight
 // through, so their behaviour is unchanged; the fork executor drives the
 // same runner with snapshots in between.
+//
+// A runner's snapshot is one value: the system's snapshot, the script's and
+// the observer's State, and the runner's own per-step State. Each runner's
+// State is a distinct type, so restoring another runner's snapshot throws.
 
-struct PbkvRunnerState : SystemState {
+template <typename Step>
+struct RunnerSnapshot {
   std::unique_ptr<SystemState> system;
   PartitionScript::State script;
   StateObserver::State observer;
-  bool slept_for_election = false;
-  int value_counter = 0;
+  Step step;
 };
+
+template <typename Step>
+std::unique_ptr<SystemState> SnapshotRunner(const ISystem& system, const PartitionScript& script,
+                                            const StateObserver& observer, const Step& step) {
+  std::unique_ptr<SystemState> system_state = system.Snapshot();
+  if (system_state == nullptr) {
+    return nullptr;
+  }
+  return sim::MakeValueSnapshot<SystemState>(RunnerSnapshot<Step>{
+      std::move(system_state), script.CaptureState(), observer.CaptureState(), step});
+}
+
+template <typename Step>
+void RestoreRunner(const SystemState& state, ISystem& system, PartitionScript& script,
+                   StateObserver& observer, Step& step) {
+  const auto& snapshot = sim::SnapshotValue<RunnerSnapshot<Step>>(state);
+  system.Restore(*snapshot.system);
+  script.RestoreState(snapshot.script);
+  observer.RestoreState(snapshot.observer);
+  step = snapshot.step;
+}
 
 class PbkvRunner : public CaseRunner {
  public:
@@ -354,13 +339,13 @@ class PbkvRunner : public CaseRunner {
     switch (event.kind) {
       case EventKind::kPartition:
         script_->Partition(event.partition, PickIsolated(cluster, event.target));
-        slept_for_election_ = false;
+        s_.slept_for_election = false;
         break;
       case EventKind::kHeal:
         script_->Heal();
         break;
       case EventKind::kWrite:
-        cluster.Put(ClientFor(event.side), key_, "v" + std::to_string(++value_counter_));
+        cluster.Put(ClientFor(event.side), key_, "v" + std::to_string(++s_.value_counter));
         break;
       case EventKind::kRead:
         cluster.Get(ClientFor(event.side), key_);
@@ -413,27 +398,15 @@ class PbkvRunner : public CaseRunner {
     return result;
   }
 
+  struct State {
+    bool slept_for_election = false;
+    int value_counter = 0;
+  };
   std::unique_ptr<SystemState> Snapshot() const override {
-    auto state = std::make_unique<PbkvRunnerState>();
-    state->system = system_.Snapshot();
-    if (state->system == nullptr) {
-      return nullptr;
-    }
-    state->script = script_->CaptureState();
-    state->observer = observer_->CaptureState();
-    state->slept_for_election = slept_for_election_;
-    state->value_counter = value_counter_;
-    return state;
+    return SnapshotRunner(system_, *script_, *observer_, s_);
   }
-
   void Restore(const SystemState& state) override {
-    const auto* runner_state = dynamic_cast<const PbkvRunnerState*>(&state);
-    assert(runner_state != nullptr && "pbkv runner restore needs a pbkv runner state");
-    system_.Restore(*runner_state->system);
-    script_->RestoreState(runner_state->script);
-    observer_->RestoreState(runner_state->observer);
-    slept_for_election_ = runner_state->slept_for_election;
-    value_counter_ = runner_state->value_counter;
+    RestoreRunner(state, system_, *script_, *observer_, s_);
   }
 
  private:
@@ -456,11 +429,11 @@ class PbkvRunner : public CaseRunner {
       cluster.client(kMinorityClient).set_contact(script_->isolated());
       return kMinorityClient;
     }
-    if (script_->partitioned() && !slept_for_election_) {
+    if (script_->partitioned() && !s_.slept_for_election) {
       // ...while on the majority side, the test sleeps until a new leader
       // is elected (the NEAT tests' SLEEP_LEADER_ELECTION_PERIOD).
       cluster.Settle(sim::Milliseconds(600));
-      slept_for_election_ = true;
+      s_.slept_for_election = true;
     }
     net::NodeId contact = cluster.server_ids().front();
     if (script_->partitioned()) {
@@ -475,33 +448,24 @@ class PbkvRunner : public CaseRunner {
     return kMajorityClient;
   }
 
-  // detlint: allow(snapshot-field): variant flag chosen at construction; constant for the lifetime of the runner
-  bool strong_;
+  const bool strong_;
   PbkvSystem system_;
   std::optional<StateObserver> observer_;
   std::optional<PartitionScript> script_;
-  bool slept_for_election_ = false;
-  int value_counter_ = 0;
+  State s_;
   const std::string key_ = "k";
-};
-
-struct LocksvcRunnerState : SystemState {
-  std::unique_ptr<SystemState> system;
-  PartitionScript::State script;
-  StateObserver::State observer;
 };
 
 class LocksvcRunner : public CaseRunner {
  public:
   LocksvcRunner(const locksvc::Options& options, uint64_t seed)
-      : system_(MakeConfig(options, seed)) {
+      : system_(MakeConfig(options, seed)), isolated_(system_.cluster().server_ids().back()) {
     locksvc::Cluster& cluster = system_.cluster();
     cluster.Settle(sim::Milliseconds(300));
     observer_.emplace(system_, system_.Env().simulator().Trace());
     cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
     cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
     script_.emplace(cluster.env(), cluster.server_ids());
-    isolated_ = cluster.server_ids().back();
   }
 
   TestEnv& Env() override { return system_.Env(); }
@@ -549,23 +513,13 @@ class LocksvcRunner : public CaseRunner {
     return result;
   }
 
+  // No per-step fields; the empty State still gives the snapshot its own type.
+  struct State {};
   std::unique_ptr<SystemState> Snapshot() const override {
-    auto state = std::make_unique<LocksvcRunnerState>();
-    state->system = system_.Snapshot();
-    if (state->system == nullptr) {
-      return nullptr;
-    }
-    state->script = script_->CaptureState();
-    state->observer = observer_->CaptureState();
-    return state;
+    return SnapshotRunner(system_, *script_, *observer_, s_);
   }
-
   void Restore(const SystemState& state) override {
-    const auto* runner_state = dynamic_cast<const LocksvcRunnerState*>(&state);
-    assert(runner_state != nullptr && "locksvc runner restore needs a locksvc runner state");
-    system_.Restore(*runner_state->system);
-    script_->RestoreState(runner_state->script);
-    observer_->RestoreState(runner_state->observer);
+    RestoreRunner(state, system_, *script_, *observer_, s_);
   }
 
  private:
@@ -595,28 +549,18 @@ class LocksvcRunner : public CaseRunner {
   }
 
   LocksvcSystem system_;
+  const net::NodeId isolated_;  // the partition victim, the same in every fork
   std::optional<StateObserver> observer_;
   std::optional<PartitionScript> script_;
-  // detlint: allow(snapshot-field): chosen once during Setup and constant thereafter; forks never change the victim
-  net::NodeId isolated_ = net::kInvalidNode;
+  State s_;
   const std::string lock_ = "L";
-};
-
-struct RaftKvRunnerState : SystemState {
-  std::unique_ptr<SystemState> system;
-  PartitionScript::State script;
-  StateObserver::State observer;
-  net::Group minority_side;
-  bool slept_for_election = false;
-  int value_counter = 0;
 };
 
 class RaftKvRunner : public CaseRunner {
  public:
   RaftKvRunner(const raftkv::Options& options, uint64_t seed)
-      : system_(MakeConfig(options, seed)) {
+      : system_(MakeConfig(options, seed)), initial_leader_(system_.cluster().WaitForLeader()) {
     raftkv::Cluster& cluster = system_.cluster();
-    initial_leader_ = cluster.WaitForLeader();
     observer_.emplace(system_, system_.Env().simulator().Trace());
     cluster.client(kMinorityClient).set_allow_redirect(false);
     cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(800));
@@ -650,7 +594,7 @@ class RaftKvRunner : public CaseRunner {
           const net::Group keep = {leader, others[1]};
           const net::Group orphaned = {others[2], others[3]};
           script_->PartitionGroups(PartitionKind::kPartial, orphaned, keep);
-          minority_side_ = orphaned;
+          s_.minority_side = orphaned;
           cluster.Settle(sim::Milliseconds(100));
           cluster.client(kAdminClient).set_contact(leader);
           cluster.ChangeMembers(kAdminClient, keep);
@@ -659,16 +603,16 @@ class RaftKvRunner : public CaseRunner {
           const net::NodeId isolated =
               event.target == IsolationTarget::kLeader ? leader : servers.back();
           script_->Partition(event.partition, isolated);
-          minority_side_ = {isolated};
+          s_.minority_side = {isolated};
         }
-        slept_for_election_ = false;
+        s_.slept_for_election = false;
         break;
       }
       case EventKind::kHeal:
         script_->Heal();
         break;
       case EventKind::kWrite:
-        cluster.Put(ClientFor(event.side), key_, "v" + std::to_string(++value_counter_));
+        cluster.Put(ClientFor(event.side), key_, "v" + std::to_string(++s_.value_counter));
         break;
       case EventKind::kRead:
         cluster.Get(ClientFor(event.side), key_);
@@ -721,29 +665,18 @@ class RaftKvRunner : public CaseRunner {
     return result;
   }
 
+  struct State {
+    // The nodes cut off by the current partition; minority-side client
+    // events contact its first member.
+    net::Group minority_side;
+    bool slept_for_election = false;
+    int value_counter = 0;
+  };
   std::unique_ptr<SystemState> Snapshot() const override {
-    auto state = std::make_unique<RaftKvRunnerState>();
-    state->system = system_.Snapshot();
-    if (state->system == nullptr) {
-      return nullptr;
-    }
-    state->script = script_->CaptureState();
-    state->observer = observer_->CaptureState();
-    state->minority_side = minority_side_;
-    state->slept_for_election = slept_for_election_;
-    state->value_counter = value_counter_;
-    return state;
+    return SnapshotRunner(system_, *script_, *observer_, s_);
   }
-
   void Restore(const SystemState& state) override {
-    const auto* runner_state = dynamic_cast<const RaftKvRunnerState*>(&state);
-    assert(runner_state != nullptr && "raftkv runner restore needs a raftkv runner state");
-    system_.Restore(*runner_state->system);
-    script_->RestoreState(runner_state->script);
-    observer_->RestoreState(runner_state->observer);
-    minority_side_ = runner_state->minority_side;
-    slept_for_election_ = runner_state->slept_for_election;
-    value_counter_ = runner_state->value_counter;
+    RestoreRunner(state, system_, *script_, *observer_, s_);
   }
 
  private:
@@ -762,19 +695,19 @@ class RaftKvRunner : public CaseRunner {
 
   int ClientFor(Side side) {
     raftkv::Cluster& cluster = system_.cluster();
-    if (side == Side::kMinority && script_->partitioned() && !minority_side_.empty()) {
-      cluster.client(kMinorityClient).set_contact(minority_side_.front());
+    if (side == Side::kMinority && script_->partitioned() && !s_.minority_side.empty()) {
+      cluster.client(kMinorityClient).set_contact(s_.minority_side.front());
       return kMinorityClient;
     }
-    if (script_->partitioned() && !slept_for_election_) {
+    if (script_->partitioned() && !s_.slept_for_election) {
       cluster.Settle(sim::Milliseconds(700));
-      slept_for_election_ = true;
+      s_.slept_for_election = true;
     }
     net::NodeId contact = initial_leader_;
     const std::vector<net::NodeId> leaders = cluster.Leaders();
     for (const net::NodeId leader : leaders) {
-      if (std::find(minority_side_.begin(), minority_side_.end(), leader) ==
-          minority_side_.end()) {
+      if (std::find(s_.minority_side.begin(), s_.minority_side.end(), leader) ==
+          s_.minority_side.end()) {
         contact = leader;
         break;
       }
@@ -784,24 +717,11 @@ class RaftKvRunner : public CaseRunner {
   }
 
   RaftKvSystem system_;
+  const net::NodeId initial_leader_;  // elected during set-up
   std::optional<StateObserver> observer_;
   std::optional<PartitionScript> script_;
-  // detlint: allow(snapshot-field): fixed after Setup elects the initial leader; constant across forks
-  net::NodeId initial_leader_ = net::kInvalidNode;  // fixed after setup
-  // The nodes cut off by the current partition; minority-side client
-  // events contact its first member.
-  net::Group minority_side_;
-  bool slept_for_election_ = false;
-  int value_counter_ = 0;
+  State s_;
   const std::string key_ = "k";
-};
-
-struct MqueueRunnerState : SystemState {
-  std::unique_ptr<SystemState> system;
-  PartitionScript::State script;
-  StateObserver::State observer;
-  bool slept_for_takeover = false;
-  int value_counter = 0;
 };
 
 class MqueueRunner : public CaseRunner {
@@ -844,14 +764,14 @@ class MqueueRunner : public CaseRunner {
           }
         }
         script_->Partition(event.partition, isolated);
-        slept_for_takeover_ = false;
+        s_.slept_for_takeover = false;
         break;
       }
       case EventKind::kHeal:
         script_->Heal();
         break;
       case EventKind::kWrite:
-        cluster.Send(ClientFor(event.side), queue_, "m" + std::to_string(++value_counter_));
+        cluster.Send(ClientFor(event.side), queue_, "m" + std::to_string(++s_.value_counter));
         break;
       case EventKind::kRead:
         cluster.Receive(ClientFor(event.side), queue_);
@@ -905,27 +825,15 @@ class MqueueRunner : public CaseRunner {
     return result;
   }
 
+  struct State {
+    bool slept_for_takeover = false;
+    int value_counter = 0;
+  };
   std::unique_ptr<SystemState> Snapshot() const override {
-    auto state = std::make_unique<MqueueRunnerState>();
-    state->system = system_.Snapshot();
-    if (state->system == nullptr) {
-      return nullptr;
-    }
-    state->script = script_->CaptureState();
-    state->observer = observer_->CaptureState();
-    state->slept_for_takeover = slept_for_takeover_;
-    state->value_counter = value_counter_;
-    return state;
+    return SnapshotRunner(system_, *script_, *observer_, s_);
   }
-
   void Restore(const SystemState& state) override {
-    const auto* runner_state = dynamic_cast<const MqueueRunnerState*>(&state);
-    assert(runner_state != nullptr && "mqueue runner restore needs an mqueue runner state");
-    system_.Restore(*runner_state->system);
-    script_->RestoreState(runner_state->script);
-    observer_->RestoreState(runner_state->observer);
-    slept_for_takeover_ = runner_state->slept_for_takeover;
-    value_counter_ = runner_state->value_counter;
+    RestoreRunner(state, system_, *script_, *observer_, s_);
   }
 
  private:
@@ -946,10 +854,10 @@ class MqueueRunner : public CaseRunner {
       cluster.client(kMinorityClient).set_contact(script_->isolated());
       return kMinorityClient;
     }
-    if (script_->partitioned() && !slept_for_takeover_) {
+    if (script_->partitioned() && !s_.slept_for_takeover) {
       // Wait out the session timeout so the surviving brokers take over.
       cluster.Settle(sim::Milliseconds(800));
-      slept_for_takeover_ = true;
+      s_.slept_for_takeover = true;
     }
     net::NodeId contact = cluster.MasterPerRegistry();
     if (contact == net::kInvalidNode || contact == script_->isolated()) {
@@ -967,8 +875,7 @@ class MqueueRunner : public CaseRunner {
   MqueueSystem system_;
   std::optional<StateObserver> observer_;
   std::optional<PartitionScript> script_;
-  bool slept_for_takeover_ = false;
-  int value_counter_ = 0;
+  State s_;
   const std::string queue_ = "q";
 };
 

@@ -24,11 +24,13 @@ namespace neat {
 // Opaque value snapshot of a system's complete state — environment plus
 // every server/client process — taken at a quiescent point (no handler
 // mid-flight; in practice: between test events, while the simulator is not
-// running). Concrete systems derive their own state type; holders only
-// ever pass it back to Restore on the same instance. Snapshots are plain
-// values: they must not capture live closures or pointers into the heap of
-// the system that produced them (the simulator checkpoint stores event ids,
-// not callbacks — see sim::Simulator::Checkpoint).
+// running). Systems box their cluster's State value with
+// sim::MakeValueSnapshot and unbox it with sim::SnapshotValue, which throws
+// std::logic_error on another system's snapshot; holders only ever pass it
+// back to Restore on the same instance. Snapshots are plain values: they
+// must not capture live closures or pointers into the heap of the system
+// that produced them (the simulator checkpoint stores event ids, not
+// callbacks — see sim::Simulator::Checkpoint).
 struct SystemState {
   virtual ~SystemState() = default;
 };

@@ -22,6 +22,15 @@ constexpr NodeId kInvalidNode = -1;
 // An ordered set of nodes, as used by the NEAT partition API.
 using Group = std::vector<NodeId>;
 
+// The nodes 1..count, the way the model clusters number their servers.
+inline Group FirstNodes(int count) {
+  Group nodes;
+  for (NodeId node = 1; node <= count; ++node) {
+    nodes.push_back(node);
+  }
+  return nodes;
+}
+
 class Message {
  public:
   virtual ~Message() = default;

@@ -33,14 +33,14 @@ Group Network::Universe() const {
 
 void Network::SetLinkLoss(NodeId src, NodeId dst, double loss) {
   if (loss <= 0.0) {
-    link_loss_.erase({src, dst});
+    s_.link_loss.erase({src, dst});
   } else {
-    link_loss_[{src, dst}] = loss;
+    s_.link_loss[{src, dst}] = loss;
   }
 }
 
 void Network::Send(NodeId src, NodeId dst, std::shared_ptr<const Message> msg) {
-  ++messages_sent_;
+  ++s_.messages_sent;
   Envelope envelope{src, dst, simulator_->Now(), std::move(msg)};
 
   // Causal tracing: record the send so the deliver (or in-flight drop) can
@@ -54,27 +54,27 @@ void Network::Send(NodeId src, NodeId dst, std::shared_ptr<const Message> msg) {
   }
 
   if (!connectivity_.Allows(src, dst)) {
-    ++messages_dropped_;
+    ++s_.messages_dropped;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
                                LinkString(src, dst) + " " + envelope.msg->TypeName() +
                                    " (partitioned at send)");
     return;
   }
-  auto loss = link_loss_.find({src, dst});
-  if (loss != link_loss_.end() && rng_.NextBool(loss->second)) {
-    ++messages_dropped_;
+  auto loss = s_.link_loss.find({src, dst});
+  if (loss != s_.link_loss.end() && s_.rng.NextBool(loss->second)) {
+    ++s_.messages_dropped;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
                                LinkString(src, dst) + " " + envelope.msg->TypeName() +
                                    " (flaky link)");
     return;
   }
 
-  sim::Duration delay = latency_.base;
-  if (latency_.jitter > 0) {
+  sim::Duration delay = s_.latency.base;
+  if (s_.latency.jitter > 0) {
     delay += static_cast<sim::Duration>(
-        rng_.NextBelow(static_cast<uint64_t>(latency_.jitter) + 1));
+        s_.rng.NextBelow(static_cast<uint64_t>(s_.latency.jitter) + 1));
   }
-  if (!faults_.empty() && ApplyFaults(envelope, &delay)) {
+  if (!s_.faults.empty() && ApplyFaults(envelope, &delay)) {
     return;  // dropped or held by a fault rule
   }
   ScheduleDelivery(std::move(envelope), delay);
@@ -87,25 +87,25 @@ void Network::ScheduleDelivery(Envelope envelope, sim::Duration delay) {
 }
 
 FaultRuleId Network::AddFaultRule(const FaultRule& rule) {
-  const FaultRuleId id = next_fault_id_++;
-  faults_[id].rule = rule;
+  const FaultRuleId id = s_.next_fault_id++;
+  s_.faults[id].rule = rule;
   return id;
 }
 
 void Network::RemoveFaultRule(FaultRuleId id) {
-  auto it = faults_.find(id);
-  if (it == faults_.end()) {
+  auto it = s_.faults.find(id);
+  if (it == s_.faults.end()) {
     return;
   }
   FlushHeldMessage(it->second);
-  faults_.erase(it);
+  s_.faults.erase(it);
 }
 
 void Network::ClearFaultRules() {
-  for (auto& [id, fault] : faults_) {
+  for (auto& [id, fault] : s_.faults) {
     FlushHeldMessage(fault);
   }
-  faults_.clear();
+  s_.faults.clear();
 }
 
 void Network::FlushHeldMessage(InstalledFault& fault) {
@@ -123,7 +123,7 @@ void Network::FlushHeldMessage(InstalledFault& fault) {
 
 bool Network::ApplyFaults(Envelope& envelope, sim::Duration* delay) {
   const std::string type = envelope.msg->TypeName();
-  for (auto& [id, fault] : faults_) {
+  for (auto& [id, fault] : s_.faults) {
     const FaultRule& rule = fault.rule;
     if (rule.type_name != type) {
       continue;
@@ -138,11 +138,11 @@ bool Network::ApplyFaults(Envelope& envelope, sim::Duration* delay) {
       continue;
     }
     ++fault.matched;
-    ++messages_faulted_;
+    ++s_.messages_faulted;
     const std::string link_and_type = LinkString(envelope.src, envelope.dst) + " " + type;
     switch (rule.action) {
       case FaultRule::Action::kDrop:
-        ++messages_dropped_;
+        ++s_.messages_dropped;
         simulator_->Trace().Append(simulator_->Now(), "net", "drop",
                                    link_and_type + " (fault drop)", envelope.send_record);
         return true;
@@ -178,7 +178,7 @@ void Network::Deliver(Envelope envelope) {
   // A partition installed while the packet was in flight also kills it:
   // switches and firewalls drop queued packets when rules change.
   if (!connectivity_.Allows(envelope.src, envelope.dst)) {
-    ++messages_dropped_;
+    ++s_.messages_dropped;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
                                LinkString(envelope.src, envelope.dst) + " " +
                                    envelope.msg->TypeName() + " (partitioned in flight)",
@@ -187,14 +187,14 @@ void Network::Deliver(Envelope envelope) {
   }
   auto it = handlers_.find(envelope.dst);
   if (it == handlers_.end() || !it->second) {
-    ++messages_dropped_;
+    ++s_.messages_dropped;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
                                LinkString(envelope.src, envelope.dst) + " " +
                                    envelope.msg->TypeName() + " (no receiver)",
                                envelope.send_record);
     return;
   }
-  ++messages_delivered_;
+  ++s_.messages_delivered;
   if (simulator_->Trace().causal()) {
     // Stamp the send->deliver edge, then run the handler under a cause
     // scope so every record it appends (state transitions, sends of

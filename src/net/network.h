@@ -71,8 +71,9 @@ class Network {
   Network(sim::Simulator* simulator, PartitionBackend* backend)
       : simulator_(simulator),
         backend_(backend),
-        connectivity_(backend),
-        rng_(simulator->Rand().Fork()) {}
+        connectivity_(backend) {
+    s_.rng = simulator->Rand().Fork();
+  }
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -115,12 +116,12 @@ class Network {
   void RemoveFaultRule(FaultRuleId id);
   // Removes every rule, flushing all held messages.
   void ClearFaultRules();
-  bool HasFaultRules() const { return !faults_.empty(); }
+  bool HasFaultRules() const { return !s_.faults.empty(); }
   // Messages a fault rule acted on (dropped, delayed, held, or swapped).
-  uint64_t messages_faulted() const { return messages_faulted_; }
+  uint64_t messages_faulted() const { return s_.messages_faulted; }
 
-  void set_latency(LatencyModel latency) { latency_ = latency; }
-  const LatencyModel& latency() const { return latency_; }
+  void set_latency(LatencyModel latency) { s_.latency = latency; }
+  const LatencyModel& latency() const { return s_.latency; }
 
   PartitionBackend* backend() const { return backend_; }
   const ConnectivityCache& connectivity() const { return connectivity_; }
@@ -130,9 +131,9 @@ class Network {
   // Includes crashed (null-handler) nodes.
   Group Universe() const;
 
-  uint64_t messages_sent() const { return messages_sent_; }
-  uint64_t messages_delivered() const { return messages_delivered_; }
-  uint64_t messages_dropped() const { return messages_dropped_; }
+  uint64_t messages_sent() const { return s_.messages_sent; }
+  uint64_t messages_delivered() const { return s_.messages_delivered; }
+  uint64_t messages_dropped() const { return s_.messages_dropped; }
 
   // One installed fault rule plus its match state. Part of Network::State:
   // a forked run must resume with the same match counters and held reorder
@@ -157,7 +158,7 @@ class Network {
   // restoring the partition backend's rules re-syncs it
   // (PartitionBackend::RestoreRules notifies every attached cache).
   struct State {
-    sim::Rng rng{1};
+    sim::Rng rng{1};  // network-private substream: loss + jitter draws only
     LatencyModel latency;
     std::map<std::pair<NodeId, NodeId>, double> link_loss;
     uint64_t messages_sent = 0;
@@ -167,22 +168,8 @@ class Network {
     FaultRuleId next_fault_id = 1;
     uint64_t messages_faulted = 0;
   };
-  State CaptureState() const {
-    return State{rng_,           latency_,            link_loss_,
-                 messages_sent_, messages_delivered_, messages_dropped_,
-                 faults_,        next_fault_id_,      messages_faulted_};
-  }
-  void RestoreState(const State& state) {
-    rng_ = state.rng;
-    latency_ = state.latency;
-    link_loss_ = state.link_loss;
-    messages_sent_ = state.messages_sent;
-    messages_delivered_ = state.messages_delivered;
-    messages_dropped_ = state.messages_dropped;
-    faults_ = state.faults;
-    next_fault_id_ = state.next_fault_id;
-    messages_faulted_ = state.messages_faulted;
-  }
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
 
  private:
   void Deliver(Envelope envelope);
@@ -196,17 +183,9 @@ class Network {
   PartitionBackend* backend_;
   // detlint: allow(snapshot-field): derived reachability cache; invalidated on every rule change and rebuilt on demand
   ConnectivityCache connectivity_;
-  sim::Rng rng_;  // network-private substream: loss + jitter draws only
-  LatencyModel latency_;
   // detlint: allow(snapshot-field): delivery closures are re-registered by Process::RestoreKernel, not value-copied
   std::map<NodeId, Handler> handlers_;
-  std::map<std::pair<NodeId, NodeId>, double> link_loss_;
-  uint64_t messages_sent_ = 0;
-  uint64_t messages_delivered_ = 0;
-  uint64_t messages_dropped_ = 0;
-  std::map<FaultRuleId, InstalledFault> faults_;
-  FaultRuleId next_fault_id_ = 1;
-  uint64_t messages_faulted_ = 0;
+  State s_;
 };
 
 }  // namespace net

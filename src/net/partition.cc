@@ -1,9 +1,9 @@
 #include "net/partition.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "net/connectivity.h"
+#include "sim/value_snapshot.h"
 
 namespace net {
 namespace {
@@ -65,23 +65,17 @@ void PartitionBackend::BumpEpochAndResync() {
 // --- SwitchPartitioner ---
 
 std::unique_ptr<PartitionBackend::RulesSnapshot> SwitchPartitioner::CaptureRules() const {
-  auto snapshot = std::make_unique<Rules>();
-  snapshot->next_id = next_id_;
-  snapshot->rules = rules_;
-  return snapshot;
+  return sim::MakeValueSnapshot<RulesSnapshot>(s_);
 }
 
 void SwitchPartitioner::RestoreRules(const RulesSnapshot& snapshot) {
-  const auto* rules = dynamic_cast<const Rules*>(&snapshot);
-  assert(rules != nullptr && "snapshot came from a different backend type");
-  next_id_ = rules->next_id;
-  rules_ = rules->rules;
+  s_ = sim::SnapshotValue<Rules>(snapshot);
   BumpEpochAndResync();
 }
 
 bool SwitchPartitioner::AllowsLink(NodeId src, NodeId dst) const {
   // Drop rules have priority over the default learning-switch forwarding.
-  for (const auto& [id, rule] : rules_) {
+  for (const auto& [id, rule] : s_.rules) {
     if (rule.srcs.count(src) != 0 && rule.dsts.count(dst) != 0) {
       return false;
     }
@@ -93,14 +87,14 @@ RuleId SwitchPartitioner::DoBlock(const Group& srcs, const Group& dsts) {
   FlowRule rule;
   rule.srcs.insert(srcs.begin(), srcs.end());
   rule.dsts.insert(dsts.begin(), dsts.end());
-  const RuleId id = next_id_++;
-  rules_.emplace(id, std::move(rule));
+  const RuleId id = s_.next_id++;
+  s_.rules.emplace(id, std::move(rule));
   return id;
 }
 
 bool SwitchPartitioner::DoUnblock(RuleId id, std::vector<Link>* coverage) {
-  auto it = rules_.find(id);
-  if (it == rules_.end()) {
+  auto it = s_.rules.find(id);
+  if (it == s_.rules.end()) {
     return false;
   }
   for (NodeId s : it->second.srcs) {
@@ -110,39 +104,31 @@ bool SwitchPartitioner::DoUnblock(RuleId id, std::vector<Link>* coverage) {
       }
     }
   }
-  rules_.erase(it);
+  s_.rules.erase(it);
   return true;
 }
 
 // --- FirewallPartitioner ---
 
 std::unique_ptr<PartitionBackend::RulesSnapshot> FirewallPartitioner::CaptureRules() const {
-  auto snapshot = std::make_unique<Rules>();
-  snapshot->next_id = next_id_;
-  snapshot->hosts = hosts_;
-  snapshot->rule_index = rule_index_;
-  return snapshot;
+  return sim::MakeValueSnapshot<RulesSnapshot>(s_);
 }
 
 void FirewallPartitioner::RestoreRules(const RulesSnapshot& snapshot) {
-  const auto* rules = dynamic_cast<const Rules*>(&snapshot);
-  assert(rules != nullptr && "snapshot came from a different backend type");
-  next_id_ = rules->next_id;
-  hosts_ = rules->hosts;
-  rule_index_ = rules->rule_index;
+  s_ = sim::SnapshotValue<Rules>(snapshot);
   BumpEpochAndResync();
 }
 
 bool FirewallPartitioner::AllowsLink(NodeId src, NodeId dst) const {
-  auto src_it = hosts_.find(src);
-  if (src_it != hosts_.end()) {
+  auto src_it = s_.hosts.find(src);
+  if (src_it != s_.hosts.end()) {
     auto egress = src_it->second.egress_drop.find(dst);
     if (egress != src_it->second.egress_drop.end() && !egress->second.empty()) {
       return false;
     }
   }
-  auto dst_it = hosts_.find(dst);
-  if (dst_it != hosts_.end()) {
+  auto dst_it = s_.hosts.find(dst);
+  if (dst_it != s_.hosts.end()) {
     auto ingress = dst_it->second.ingress_drop.find(src);
     if (ingress != dst_it->second.ingress_drop.end() && !ingress->second.empty()) {
       return false;
@@ -152,15 +138,15 @@ bool FirewallPartitioner::AllowsLink(NodeId src, NodeId dst) const {
 }
 
 RuleId FirewallPartitioner::DoBlock(const Group& srcs, const Group& dsts) {
-  const RuleId id = next_id_++;
-  std::vector<ChainRef>& refs = rule_index_[id];
+  const RuleId id = s_.next_id++;
+  std::vector<ChainRef>& refs = s_.rule_index[id];
   for (NodeId s : srcs) {
     for (NodeId d : dsts) {
       if (s == d) {
         continue;  // self traffic never traverses a chain
       }
-      hosts_[s].egress_drop[d].insert(id);
-      hosts_[d].ingress_drop[s].insert(id);
+      s_.hosts[s].egress_drop[d].insert(id);
+      s_.hosts[d].ingress_drop[s].insert(id);
       refs.push_back(ChainRef{s, d, /*egress=*/true});
       refs.push_back(ChainRef{d, s, /*egress=*/false});
     }
@@ -169,13 +155,13 @@ RuleId FirewallPartitioner::DoBlock(const Group& srcs, const Group& dsts) {
 }
 
 bool FirewallPartitioner::DoUnblock(RuleId id, std::vector<Link>* coverage) {
-  auto it = rule_index_.find(id);
-  if (it == rule_index_.end()) {
+  auto it = s_.rule_index.find(id);
+  if (it == s_.rule_index.end()) {
     return false;
   }
   for (const ChainRef& ref : it->second) {
-    auto host_it = hosts_.find(ref.host);
-    if (host_it == hosts_.end()) {
+    auto host_it = s_.hosts.find(ref.host);
+    if (host_it == s_.hosts.end()) {
       continue;
     }
     auto& chains =
@@ -191,7 +177,7 @@ bool FirewallPartitioner::DoUnblock(RuleId id, std::vector<Link>* coverage) {
       coverage->emplace_back(ref.host, ref.peer);
     }
   }
-  rule_index_.erase(it);
+  s_.rule_index.erase(it);
   return true;
 }
 

@@ -84,6 +84,8 @@ class PartitionBackend {
   virtual std::unique_ptr<RulesSnapshot> CaptureRules() const = 0;
   // Replaces the rule table with the snapshot's and re-syncs every attached
   // cache (wholesale replacement has no per-rule delta to patch from).
+  // Throws std::logic_error, changing nothing, when the snapshot came from
+  // another backend type.
   virtual void RestoreRules(const RulesSnapshot& snapshot) = 0;
 
  protected:
@@ -118,7 +120,7 @@ class PartitionBackend {
 // at a higher priority than the default learning-switch forward-all rule.
 class SwitchPartitioner : public PartitionBackend {
  public:
-  size_t rule_count() const override { return rules_.size(); }
+  size_t rule_count() const override { return s_.rules.size(); }
   std::string name() const override { return "switch"; }
 
   std::unique_ptr<RulesSnapshot> CaptureRules() const override;
@@ -134,12 +136,11 @@ class SwitchPartitioner : public PartitionBackend {
     std::set<NodeId> srcs;
     std::set<NodeId> dsts;
   };
-  struct Rules : RulesSnapshot {
+  struct Rules {
     RuleId next_id = 1;
     std::map<RuleId, FlowRule> rules;
   };
-  RuleId next_id_ = 1;
-  std::map<RuleId, FlowRule> rules_;
+  Rules s_;
 };
 
 // Per-host firewall chains (iptables analog). Block(srcs, dsts) adds an
@@ -149,7 +150,7 @@ class SwitchPartitioner : public PartitionBackend {
 // created instead of scanning every host.
 class FirewallPartitioner : public PartitionBackend {
  public:
-  size_t rule_count() const override { return rule_index_.size(); }
+  size_t rule_count() const override { return s_.rule_index.size(); }
   std::string name() const override { return "firewall"; }
 
   std::unique_ptr<RulesSnapshot> CaptureRules() const override;
@@ -171,15 +172,13 @@ class FirewallPartitioner : public PartitionBackend {
     std::map<NodeId, std::set<RuleId>> egress_drop;   // this host -> peer
     std::map<NodeId, std::set<RuleId>> ingress_drop;  // peer -> this host
   };
-  struct Rules : RulesSnapshot {
+  struct Rules {
     RuleId next_id = 1;
     std::map<NodeId, HostChains> hosts;
+    // Reverse index: every chain entry a live rule installed.
     std::map<RuleId, std::vector<ChainRef>> rule_index;
   };
-  RuleId next_id_ = 1;
-  std::map<NodeId, HostChains> hosts_;
-  // Reverse index: every chain entry a live rule installed.
-  std::map<RuleId, std::vector<ChainRef>> rule_index_;
+  Rules s_;
 };
 
 // A handle to an injected partition; holds the rules that created it so the

@@ -14,15 +14,15 @@ Client::Client(sim::Simulator* simulator, net::Network* network, net::NodeId id,
       history_(history),
       keepalive_interval_(keepalive_interval) {
   assert(!servers_.empty());
-  contact_ = servers_.front();
+  s_.contact = servers_.front();
 }
 
 void Client::OnStart() {
   Every(keepalive_interval_, [this]() {
-    if (held_resources_ > 0) {
+    if (s_.held_resources > 0) {
       auto msg = std::make_shared<KeepAlive>();
       msg->client = client_num_;
-      SendEnvelope(contact_, msg);
+      SendEnvelope(s_.contact, msg);
     }
   });
 }
@@ -50,57 +50,57 @@ void Client::BeginIncrement(const std::string& counter) {
 
 void Client::Begin(check::OpType type, ResourceKind kind, ClientOp op,
                    const std::string& resource, int permits) {
-  assert(!outstanding_ && "one operation at a time");
-  outstanding_ = true;
-  current_request_id_ = next_request_id_++;
-  pending_op_ = check::Operation{};
-  pending_op_.client = client_num_;
-  pending_op_.type = type;
-  pending_op_.key = resource;
-  pending_op_.invoked = Now();
+  assert(!s_.outstanding && "one operation at a time");
+  s_.outstanding = true;
+  s_.current_request_id = s_.next_request_id++;
+  s_.pending_op = check::Operation{};
+  s_.pending_op.client = client_num_;
+  s_.pending_op.type = type;
+  s_.pending_op.key = resource;
+  s_.pending_op.invoked = Now();
 
   auto request = std::make_shared<ClientLockRequest>();
-  request->request_id = current_request_id_;
+  request->request_id = s_.current_request_id;
   request->kind = kind;
   request->op = op;
   request->resource = resource;
   request->permits = permits;
-  SendEnvelope(contact_, request);
-  timeout_timer_ = After(op_timeout_, [this]() {
-    if (outstanding_) {
+  SendEnvelope(s_.contact, request);
+  s_.timeout_timer = After(s_.op_timeout, [this]() {
+    if (s_.outstanding) {
       Complete(check::OpStatus::kTimeout, 0);
     }
   });
 }
 
 void Client::Complete(check::OpStatus status, int64_t counter_value) {
-  outstanding_ = false;
-  simulator()->Cancel(timeout_timer_);
-  pending_op_.completed = Now();
-  pending_op_.status = status;
+  s_.outstanding = false;
+  simulator()->Cancel(s_.timeout_timer);
+  s_.pending_op.completed = Now();
+  s_.pending_op.status = status;
   if (status == check::OpStatus::kOk) {
-    if (pending_op_.type == check::OpType::kLock ||
-        pending_op_.type == check::OpType::kSemAcquire) {
-      ++held_resources_;
-    } else if ((pending_op_.type == check::OpType::kUnlock ||
-                pending_op_.type == check::OpType::kSemRelease) &&
-               held_resources_ > 0) {
-      --held_resources_;
+    if (s_.pending_op.type == check::OpType::kLock ||
+        s_.pending_op.type == check::OpType::kSemAcquire) {
+      ++s_.held_resources;
+    } else if ((s_.pending_op.type == check::OpType::kUnlock ||
+                s_.pending_op.type == check::OpType::kSemRelease) &&
+               s_.held_resources > 0) {
+      --s_.held_resources;
     }
-    if (pending_op_.type == check::OpType::kOther) {
-      last_counter_value_ = counter_value;
-      pending_op_.value = std::to_string(counter_value);
+    if (s_.pending_op.type == check::OpType::kOther) {
+      s_.last_counter_value = counter_value;
+      s_.pending_op.value = std::to_string(counter_value);
     }
   }
-  last_op_ = pending_op_;
+  s_.last_op = s_.pending_op;
   if (history_ != nullptr) {
-    last_op_.id = history_->Record(pending_op_);
+    s_.last_op.id = history_->Record(s_.pending_op);
   }
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
   const auto* reply = dynamic_cast<const ClientLockReply*>(envelope.msg.get());
-  if (reply == nullptr || !outstanding_ || reply->request_id != current_request_id_) {
+  if (reply == nullptr || !s_.outstanding || reply->request_id != s_.current_request_id) {
     return;
   }
   Complete(reply->ok ? check::OpStatus::kOk : check::OpStatus::kFail, reply->counter_value);

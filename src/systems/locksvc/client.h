@@ -23,8 +23,8 @@ class Client : public cluster::Process {
          std::vector<net::NodeId> servers, check::History* history,
          sim::Duration keepalive_interval);
 
-  void set_contact(net::NodeId contact) { contact_ = contact; }
-  void set_op_timeout(sim::Duration timeout) { op_timeout_ = timeout; }
+  void set_contact(net::NodeId contact) { s_.contact = contact; }
+  void set_op_timeout(sim::Duration timeout) { s_.op_timeout = timeout; }
 
   void BeginLock(const std::string& resource);
   void BeginUnlock(const std::string& resource);
@@ -32,10 +32,10 @@ class Client : public cluster::Process {
   void BeginSemRelease(const std::string& semaphore);
   void BeginIncrement(const std::string& counter);
 
-  bool idle() const { return !outstanding_; }
-  const check::Operation& last_op() const { return last_op_; }
+  bool idle() const { return !s_.outstanding; }
+  const check::Operation& last_op() const { return s_.last_op; }
   // The value returned by the last successful increment.
-  int64_t last_counter_value() const { return last_counter_value_; }
+  int64_t last_counter_value() const { return s_.last_counter_value; }
   int client_num() const { return client_num_; }
 
   // --- snapshot / restore (NEAT fork executor) ---
@@ -51,24 +51,8 @@ class Client : public cluster::Process {
     int64_t last_counter_value = 0;
     sim::EventId timeout_timer = sim::kInvalidEventId;
   };
-  State CaptureState() const {
-    return State{contact_,           op_timeout_,  outstanding_,
-                 next_request_id_,   current_request_id_, held_resources_,
-                 pending_op_,        last_op_,     last_counter_value_,
-                 timeout_timer_};
-  }
-  void RestoreState(const State& state) {
-    contact_ = state.contact;
-    op_timeout_ = state.op_timeout;
-    outstanding_ = state.outstanding;
-    next_request_id_ = state.next_request_id;
-    current_request_id_ = state.current_request_id;
-    held_resources_ = state.held_resources;
-    pending_op_ = state.pending_op;
-    last_op_ = state.last_op;
-    last_counter_value_ = state.last_counter_value;
-    timeout_timer_ = state.timeout_timer;
-  }
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
 
  protected:
   void OnStart() override;
@@ -79,24 +63,11 @@ class Client : public cluster::Process {
              int permits);
   void Complete(check::OpStatus status, int64_t counter_value);
 
-  // detlint: allow(snapshot-field): client identity fixed at construction
-  int client_num_;
-  // detlint: allow(snapshot-field): server topology fixed at construction
-  std::vector<net::NodeId> servers_;
+  const int client_num_;
+  const std::vector<net::NodeId> servers_;
   check::History* history_;
-  net::NodeId contact_;
-  sim::Duration op_timeout_ = sim::Milliseconds(800);
-  // detlint: allow(snapshot-field): protocol constant chosen at construction
-  sim::Duration keepalive_interval_;
-
-  bool outstanding_ = false;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
-  int held_resources_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  int64_t last_counter_value_ = 0;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+  const sim::Duration keepalive_interval_;
+  State s_;
 };
 
 }  // namespace locksvc

@@ -8,13 +8,14 @@ Server::Server(sim::Simulator* simulator, net::Network* network, net::NodeId id,
                const Options& options, std::vector<net::NodeId> replicas)
     : cluster::Process(simulator, network, id, "locksvc.n" + std::to_string(id)),
       options_(options),
-      replicas_(std::move(replicas)),
-      detector_(id, replicas_, {options.heartbeat_interval, options.miss_threshold}) {
-  view_.insert(replicas_.begin(), replicas_.end());
+      replicas_(std::move(replicas)) {
+  s_.view.insert(replicas_.begin(), replicas_.end());
+  s_.detector =
+      cluster::FailureDetector(id, replicas_, {options.heartbeat_interval, options.miss_threshold});
 }
 
 void Server::OnStart() {
-  detector_.Reset(Now());
+  s_.detector.Reset(Now());
   Every(options_.heartbeat_interval, [this]() { Tick(); });
 }
 
@@ -25,15 +26,15 @@ void Server::Tick() {
     }
   }
   if (options_.remove_unreachable) {
-    for (net::NodeId peer : detector_.DeadPeers(Now())) {
-      if (view_.erase(peer) != 0) {
+    for (net::NodeId peer : s_.detector.DeadPeers(Now())) {
+      if (s_.view.erase(peer) != 0) {
         TraceEvent("view-remove", "peer=" + std::to_string(peer));
       }
     }
   }
   if (options_.reclaim_unreachable_clients) {
     std::vector<int> expired;
-    for (const auto& [client, lease] : leases_) {
+    for (const auto& [client, lease] : s_.leases) {
       if (!lease.holdings.empty() && Now() - lease.last_heard > options_.client_lease) {
         expired.push_back(client);
       }
@@ -45,40 +46,40 @@ void Server::Tick() {
 }
 
 int Server::LockHolder(const std::string& lock) const {
-  auto it = locks_.find(lock);
-  return it == locks_.end() ? 0 : it->second;
+  auto it = s_.locks.find(lock);
+  return it == s_.locks.end() ? 0 : it->second;
 }
 
 std::vector<int> Server::SemaphoreHolders(const std::string& semaphore) const {
-  auto it = semaphores_.find(semaphore);
-  if (it == semaphores_.end()) {
+  auto it = s_.semaphores.find(semaphore);
+  if (it == s_.semaphores.end()) {
     return {};
   }
   return {it->second.holders.begin(), it->second.holders.end()};
 }
 
 bool Server::SemaphoreBroken(const std::string& semaphore) const {
-  auto it = semaphores_.find(semaphore);
-  return it != semaphores_.end() && it->second.broken;
+  auto it = s_.semaphores.find(semaphore);
+  return it != s_.semaphores.end() && it->second.broken;
 }
 
 int64_t Server::CounterValue(const std::string& counter) const {
-  auto it = counters_.find(counter);
-  return it == counters_.end() ? 0 : it->second;
+  auto it = s_.counters.find(counter);
+  return it == s_.counters.end() ? 0 : it->second;
 }
 
 size_t Server::QuorumNeeded() const {
   if (options_.quorum == Quorum::kMajorityOfCluster) {
     return replicas_.size() / 2 + 1;
   }
-  return view_.size();  // every member of the (possibly shrunken) view
+  return s_.view.size();  // every member of the (possibly shrunken) view
 }
 
 bool Server::ApplyLocal(ResourceKind kind, ClientOp op, const std::string& resource,
                         int client, int permits, int64_t* counter_value_out) {
   switch (kind) {
     case ResourceKind::kLock: {
-      int& holder = locks_[resource];
+      int& holder = s_.locks[resource];
       if (op == ClientOp::kAcquire) {
         if (holder != 0 && holder != client) {
           return false;
@@ -93,7 +94,7 @@ bool Server::ApplyLocal(ResourceKind kind, ClientOp op, const std::string& resou
       return true;
     }
     case ResourceKind::kSemaphore: {
-      auto [it, inserted] = semaphores_.try_emplace(resource);
+      auto [it, inserted] = s_.semaphores.try_emplace(resource);
       Semaphore& sem = it->second;
       if (inserted) {
         sem.permits = permits;
@@ -117,7 +118,7 @@ bool Server::ApplyLocal(ResourceKind kind, ClientOp op, const std::string& resou
       return true;
     }
     case ResourceKind::kCounter: {
-      int64_t& value = counters_[resource];
+      int64_t& value = s_.counters[resource];
       if (op == ClientOp::kIncrement) {
         ++value;
       }
@@ -132,13 +133,13 @@ bool Server::ApplyLocal(ResourceKind kind, ClientOp op, const std::string& resou
 
 void Server::RollbackLocal(ResourceKind kind, const std::string& resource, int client) {
   if (kind == ResourceKind::kLock) {
-    auto it = locks_.find(resource);
-    if (it != locks_.end() && it->second == client) {
+    auto it = s_.locks.find(resource);
+    if (it != s_.locks.end() && it->second == client) {
       it->second = 0;
     }
   } else if (kind == ResourceKind::kSemaphore) {
-    auto it = semaphores_.find(resource);
-    if (it != semaphores_.end()) {
+    auto it = s_.semaphores.find(resource);
+    if (it != s_.semaphores.end()) {
       auto holder = it->second.holders.find(client);
       if (holder != it->second.holders.end()) {
         it->second.holders.erase(holder);
@@ -151,7 +152,7 @@ void Server::RollbackLocal(ResourceKind kind, const std::string& resource, int c
 
 void Server::TrackHolding(int client, net::NodeId client_node, ResourceKind kind,
                           const std::string& resource, bool add) {
-  ClientLease& lease = leases_[client];
+  ClientLease& lease = s_.leases[client];
   lease.node = client_node;
   lease.last_heard = Now();
   auto& holdings = lease.holdings;
@@ -167,14 +168,14 @@ void Server::TrackHolding(int client, net::NodeId client_node, ResourceKind kind
 }
 
 void Server::ReclaimClient(int client) {
-  auto it = leases_.find(client);
-  if (it == leases_.end()) {
+  auto it = s_.leases.find(client);
+  if (it == s_.leases.end()) {
     return;
   }
   TraceEvent("reclaim", "client=" + std::to_string(client));
   for (const auto& [kind, resource] : it->second.holdings) {
     RollbackLocal(kind, resource, client);
-    for (net::NodeId peer : view_) {
+    for (net::NodeId peer : s_.view) {
       if (peer == id()) {
         continue;
       }
@@ -192,10 +193,10 @@ void Server::OnMessage(const net::Envelope& envelope) {
   const bool is_peer =
       std::find(replicas_.begin(), replicas_.end(), envelope.src) != replicas_.end();
   if (is_peer) {
-    detector_.RecordHeartbeat(envelope.src, Now());
+    s_.detector.RecordHeartbeat(envelope.src, Now());
     // A peer heard from again rejoins the view — with no reconciliation of
     // the diverged tables, so double-granted locks persist past the heal.
-    if (view_.insert(envelope.src).second) {
+    if (s_.view.insert(envelope.src).second) {
       TraceEvent("view-rejoin", "peer=" + std::to_string(envelope.src));
     }
   }
@@ -214,8 +215,8 @@ void Server::OnMessage(const net::Envelope& envelope) {
 }
 
 void Server::HandleKeepAlive(const net::Envelope& envelope, const KeepAlive& msg) {
-  auto it = leases_.find(msg.client);
-  if (it != leases_.end()) {
+  auto it = s_.leases.find(msg.client);
+  if (it != s_.leases.end()) {
     it->second.node = envelope.src;
     it->second.last_heard = Now();
   }
@@ -241,7 +242,7 @@ void Server::HandleClientRequest(const net::Envelope& envelope,
   if (is_release) {
     // Releases are propagated without waiting: they only ever free state.
     TrackHolding(client, envelope.src, request.kind, request.resource, /*add=*/false);
-    for (net::NodeId peer : view_) {
+    for (net::NodeId peer : s_.view) {
       if (peer == id()) {
         continue;
       }
@@ -259,7 +260,7 @@ void Server::HandleClientRequest(const net::Envelope& envelope,
     return;
   }
 
-  const uint64_t txn_id = next_txn_id_++;
+  const uint64_t txn_id = s_.next_txn_id++;
   PendingTxn txn;
   txn.client_node = envelope.src;
   txn.client = client;
@@ -272,12 +273,12 @@ void Server::HandleClientRequest(const net::Envelope& envelope,
   txn.acks.insert(id());
   txn.needed = QuorumNeeded();
   if (txn.acks.size() >= txn.needed) {
-    pending_.emplace(txn_id, std::move(txn));
+    s_.pending.emplace(txn_id, std::move(txn));
     FinishTxn(txn_id, /*ok=*/true);
     return;
   }
   txn.timer = After(options_.acquire_timeout, [this, txn_id]() { AbortTxn(txn_id); });
-  for (net::NodeId peer : view_) {
+  for (net::NodeId peer : s_.view) {
     if (peer == id()) {
       continue;
     }
@@ -291,7 +292,7 @@ void Server::HandleClientRequest(const net::Envelope& envelope,
     apply->counter_value = counter_value;
     SendEnvelope(peer, apply);
   }
-  pending_.emplace(txn_id, std::move(txn));
+  s_.pending.emplace(txn_id, std::move(txn));
 }
 
 void Server::HandlePeerApply(const net::Envelope& envelope, const PeerApply& msg) {
@@ -299,7 +300,7 @@ void Server::HandlePeerApply(const net::Envelope& envelope, const PeerApply& msg
   bool granted = false;
   if (msg.kind == ResourceKind::kCounter && msg.op == ClientOp::kIncrement) {
     // Adopt the coordinator's assignment; refuse if we already saw it.
-    int64_t& value = counters_[msg.resource];
+    int64_t& value = s_.counters[msg.resource];
     granted = value < msg.counter_value;
     value = std::max(value, msg.counter_value);
     counter_value = value;
@@ -318,8 +319,8 @@ void Server::HandlePeerApply(const net::Envelope& envelope, const PeerApply& msg
 }
 
 void Server::HandlePeerAck(const net::Envelope& envelope, const PeerAck& msg) {
-  auto it = pending_.find(msg.txn_id);
-  if (it == pending_.end()) {
+  auto it = s_.pending.find(msg.txn_id);
+  if (it == s_.pending.end()) {
     return;
   }
   if (!msg.granted) {
@@ -338,12 +339,12 @@ void Server::HandlePeerAbort(const PeerAbort& msg) {
 }
 
 void Server::AbortTxn(uint64_t txn_id) {
-  auto it = pending_.find(txn_id);
-  if (it == pending_.end()) {
+  auto it = s_.pending.find(txn_id);
+  if (it == s_.pending.end()) {
     return;
   }
   PendingTxn txn = std::move(it->second);
-  pending_.erase(it);
+  s_.pending.erase(it);
   simulator()->Cancel(txn.timer);
   RollbackLocal(txn.kind, txn.resource, txn.client);
   for (net::NodeId peer : txn.applied_on) {
@@ -360,12 +361,12 @@ void Server::AbortTxn(uint64_t txn_id) {
 }
 
 void Server::FinishTxn(uint64_t txn_id, bool ok) {
-  auto it = pending_.find(txn_id);
-  if (it == pending_.end()) {
+  auto it = s_.pending.find(txn_id);
+  if (it == s_.pending.end()) {
     return;
   }
   PendingTxn txn = std::move(it->second);
-  pending_.erase(it);
+  s_.pending.erase(it);
   simulator()->Cancel(txn.timer);
   if (ok && txn.op == ClientOp::kAcquire) {
     TrackHolding(txn.client, txn.client_node, txn.kind, txn.resource, /*add=*/true);
@@ -375,30 +376,6 @@ void Server::FinishTxn(uint64_t txn_id, bool ok) {
   reply->ok = ok;
   reply->counter_value = txn.counter_value;
   SendEnvelope(txn.client_node, reply);
-}
-
-Server::State Server::CaptureState() const {
-  State state;
-  state.view = view_;
-  state.locks = locks_;
-  state.semaphores = semaphores_;
-  state.counters = counters_;
-  state.pending = pending_;
-  state.next_txn_id = next_txn_id_;
-  state.leases = leases_;
-  state.detector_last_heard = detector_.last_heard();
-  return state;
-}
-
-void Server::RestoreState(const State& state) {
-  view_ = state.view;
-  locks_ = state.locks;
-  semaphores_ = state.semaphores;
-  counters_ = state.counters;
-  pending_ = state.pending;
-  next_txn_id_ = state.next_txn_id;
-  leases_ = state.leases;
-  detector_.set_last_heard(state.detector_last_heard);
 }
 
 }  // namespace locksvc

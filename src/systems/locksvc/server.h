@@ -36,12 +36,7 @@ class Server : public cluster::Process {
   std::vector<int> SemaphoreHolders(const std::string& semaphore) const;
   bool SemaphoreBroken(const std::string& semaphore) const;
   int64_t CounterValue(const std::string& counter) const;
-  const std::set<net::NodeId>& view() const { return view_; }
-
-  // --- snapshot / restore (NEAT fork executor) ---
-  struct State;
-  State CaptureState() const;
-  void RestoreState(const State& state);
+  const std::set<net::NodeId>& view() const { return s_.view; }
 
  protected:
   void OnStart() override;
@@ -67,7 +62,29 @@ class Server : public cluster::Process {
     size_t needed = 0;
     sim::EventId timer = sim::kInvalidEventId;
   };
+  struct ClientLease {
+    net::NodeId node = net::kInvalidNode;
+    sim::Time last_heard = sim::kTimeZero;
+    std::vector<std::pair<ResourceKind, std::string>> holdings;
+  };
 
+ public:
+  // --- snapshot / restore (NEAT fork executor) ---
+  // Every mutable field lives in State, so a snapshot is a copy of s_.
+  struct State {
+    std::set<net::NodeId> view;
+    std::map<std::string, int> locks;  // resource -> holding client (0 free)
+    std::map<std::string, Semaphore> semaphores;
+    std::map<std::string, int64_t> counters;
+    std::map<uint64_t, PendingTxn> pending;
+    uint64_t next_txn_id = 1;
+    std::map<int, ClientLease> leases;  // by client number; coordinator-side
+    cluster::FailureDetector detector;
+  };
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
+
+ private:
   void Tick();
   void HandleClientRequest(const net::Envelope& envelope, const ClientLockRequest& request);
   void HandlePeerApply(const net::Envelope& envelope, const PeerApply& msg);
@@ -87,38 +104,9 @@ class Server : public cluster::Process {
   void TrackHolding(int client, net::NodeId client_node, ResourceKind kind,
                     const std::string& resource, bool add);
 
-  // detlint: allow(snapshot-field): configuration fixed at construction
-  Options options_;
-  // detlint: allow(snapshot-field): replica topology fixed at construction
-  std::vector<net::NodeId> replicas_;
-  std::set<net::NodeId> view_;
-
-  std::map<std::string, int> locks_;  // resource -> holding client (0 free)
-  std::map<std::string, Semaphore> semaphores_;
-  std::map<std::string, int64_t> counters_;
-
-  std::map<uint64_t, PendingTxn> pending_;
-  uint64_t next_txn_id_ = 1;
-
-  struct ClientLease {
-    net::NodeId node = net::kInvalidNode;
-    sim::Time last_heard = sim::kTimeZero;
-    std::vector<std::pair<ResourceKind, std::string>> holdings;
-  };
-  std::map<int, ClientLease> leases_;  // by client number; coordinator-side
-
-  cluster::FailureDetector detector_;
-};
-
-struct Server::State {
-  std::set<net::NodeId> view;
-  std::map<std::string, int> locks;
-  std::map<std::string, Semaphore> semaphores;
-  std::map<std::string, int64_t> counters;
-  std::map<uint64_t, PendingTxn> pending;
-  uint64_t next_txn_id = 1;
-  std::map<int, ClientLease> leases;
-  std::map<net::NodeId, sim::Time> detector_last_heard;
+  const Options options_;
+  const std::vector<net::NodeId> replicas_;
+  State s_;
 };
 
 }  // namespace locksvc

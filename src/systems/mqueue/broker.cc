@@ -13,12 +13,14 @@ Broker::Broker(sim::Simulator* simulator, net::Network* network, net::NodeId id,
     : cluster::Process(simulator, network, id, "mq.b" + std::to_string(id)),
       options_(options),
       brokers_(std::move(brokers)),
-      zk_(zk),
-      detector_(id, brokers_, {options.heartbeat_interval, options.miss_threshold}) {}
+      zk_(zk) {
+  s_.detector =
+      cluster::FailureDetector(id, brokers_, {options.heartbeat_interval, options.miss_threshold});
+}
 
 void Broker::OnStart() {
-  last_zk_pong_ = Now();
-  detector_.Reset(Now());
+  s_.last_zk_pong = Now();
+  s_.detector.Reset(Now());
   // Stagger the initial mastership race so startup is deterministic; the
   // registry's first-create-wins rule is the real arbiter.
   const auto index = static_cast<sim::Duration>(
@@ -28,20 +30,20 @@ void Broker::OnStart() {
 }
 
 size_t Broker::QueueSize(const std::string& queue) const {
-  auto it = queues_.find(queue);
-  return it == queues_.end() ? 0 : it->second.size();
+  auto it = s_.queues.find(queue);
+  return it == s_.queues.end() ? 0 : it->second.size();
 }
 
 bool Broker::QueueContains(const std::string& queue, const std::string& value) const {
-  auto it = queues_.find(queue);
-  if (it == queues_.end()) {
+  auto it = s_.queues.find(queue);
+  if (it == s_.queues.end()) {
     return false;
   }
   return std::find(it->second.begin(), it->second.end(), value) != it->second.end();
 }
 
 bool Broker::LeaseValid() const {
-  return Now() - last_zk_pong_ <= options_.zk_session_timeout / 2;
+  return Now() - s_.last_zk_pong <= options_.zk_session_timeout / 2;
 }
 
 void Broker::Tick() {
@@ -51,18 +53,18 @@ void Broker::Tick() {
       Send<cluster::HeartbeatMsg>(peer, incarnation());
     }
   }
-  if (is_master_) {
+  if (s_.is_master) {
     // Verify mastership against the registry (catches session expiry and a
     // replacement master after a heal).
     auto get = std::make_shared<zksvc::ZkGet>();
-    get->request_id = next_zk_request_++;
+    get->request_id = s_.next_zk_request++;
     get->path = kMasterPath;
     SendEnvelope(zk_, get);
 
     if (options_.resign_when_isolated) {
       size_t reachable = 1;
       for (net::NodeId peer : brokers_) {
-        if (peer != id() && detector_.IsAlive(peer, Now())) {
+        if (peer != id() && s_.detector.IsAlive(peer, Now())) {
           ++reachable;
         }
       }
@@ -74,20 +76,20 @@ void Broker::Tick() {
 }
 
 void Broker::TryBecomeMaster() {
-  if (is_master_ || create_pending_) {
+  if (s_.is_master || s_.create_pending) {
     return;
   }
-  create_pending_ = true;
+  s_.create_pending = true;
   auto create = std::make_shared<zksvc::ZkCreate>();
-  create->request_id = next_zk_request_++;
+  create->request_id = s_.next_zk_request++;
   create->path = kMasterPath;
   create->data = std::to_string(id());
   create->ephemeral = true;
   SendEnvelope(zk_, create);
   // If the registry is unreachable the reply never comes; retry later.
   After(options_.zk_session_timeout, [this]() {
-    if (create_pending_) {
-      create_pending_ = false;
+    if (s_.create_pending) {
+      s_.create_pending = false;
       TryBecomeMaster();
     }
   });
@@ -95,7 +97,7 @@ void Broker::TryBecomeMaster() {
 
 void Broker::ResignMastership(const std::string& reason) {
   TraceEvent("resign", reason);
-  is_master_ = false;
+  s_.is_master = false;
   auto del = std::make_shared<zksvc::ZkDelete>();
   del->path = kMasterPath;
   SendEnvelope(zk_, del);
@@ -107,7 +109,7 @@ void Broker::ResignMastership(const std::string& reason) {
 }
 
 void Broker::ApplyLocal(QueueOp op, const std::string& queue, const std::string& value) {
-  std::deque<std::string>& q = queues_[queue];
+  std::deque<std::string>& q = s_.queues[queue];
   if (op == QueueOp::kEnqueue) {
     if (std::find(q.begin(), q.end(), value) == q.end()) {
       q.push_back(value);
@@ -132,13 +134,13 @@ void Broker::Reply(net::NodeId client, uint64_t request_id, bool ok, const std::
 
 void Broker::HandleClientRequest(const net::Envelope& envelope,
                                  const ClientQueueRequest& request) {
-  if (!is_master_ || (options_.require_zk_lease && !LeaseValid())) {
+  if (!s_.is_master || (options_.require_zk_lease && !LeaseValid())) {
     Reply(envelope.src, request.request_id, /*ok=*/false, "", /*not_master=*/true);
     return;
   }
   if (request.op == QueueOp::kEnqueue) {
     ApplyLocal(QueueOp::kEnqueue, request.queue, request.value);
-    const uint64_t seq = next_seq_++;
+    const uint64_t seq = s_.next_seq++;
     PendingOp pending;
     pending.client = envelope.src;
     pending.request_id = request.request_id;
@@ -165,12 +167,12 @@ void Broker::HandleClientRequest(const net::Envelope& envelope,
     pending.timer = After(options_.replication_timeout, [this, seq]() {
       FinishOp(seq, /*ok=*/false);
     });
-    pending_.emplace(seq, std::move(pending));
+    s_.pending.emplace(seq, std::move(pending));
     return;
   }
 
   // Dequeue.
-  std::deque<std::string>& q = queues_[request.queue];
+  std::deque<std::string>& q = s_.queues[request.queue];
   if (q.empty()) {
     Reply(envelope.src, request.request_id, /*ok=*/true, "");
     return;
@@ -194,7 +196,7 @@ void Broker::HandleClientRequest(const net::Envelope& envelope,
     Reply(envelope.src, request.request_id, /*ok=*/true, candidate);
     return;
   }
-  const uint64_t seq = next_seq_++;
+  const uint64_t seq = s_.next_seq++;
   PendingOp pending;
   pending.client = envelope.src;
   pending.request_id = request.request_id;
@@ -215,14 +217,14 @@ void Broker::HandleClientRequest(const net::Envelope& envelope,
     SendEnvelope(peer, repl);
   }
   if (pending.acks.size() >= pending.needed) {
-    pending_.emplace(seq, std::move(pending));
+    s_.pending.emplace(seq, std::move(pending));
     FinishOp(seq, /*ok=*/true);
     return;
   }
   pending.timer = After(options_.replication_timeout, [this, seq]() {
     FinishOp(seq, /*ok=*/false);
   });
-  pending_.emplace(seq, std::move(pending));
+  s_.pending.emplace(seq, std::move(pending));
 }
 
 void Broker::HandleReplOp(const net::Envelope& envelope, const ReplOp& msg) {
@@ -235,8 +237,8 @@ void Broker::HandleReplOp(const net::Envelope& envelope, const ReplOp& msg) {
 }
 
 void Broker::HandleReplAck(const net::Envelope& envelope, const ReplAck& msg) {
-  auto it = pending_.find(msg.seq);
-  if (it == pending_.end()) {
+  auto it = s_.pending.find(msg.seq);
+  if (it == s_.pending.end()) {
     return;
   }
   it->second.acks.insert(envelope.src);
@@ -246,12 +248,12 @@ void Broker::HandleReplAck(const net::Envelope& envelope, const ReplAck& msg) {
 }
 
 void Broker::FinishOp(uint64_t seq, bool ok) {
-  auto it = pending_.find(seq);
-  if (it == pending_.end()) {
+  auto it = s_.pending.find(seq);
+  if (it == s_.pending.end()) {
     return;
   }
   PendingOp pending = std::move(it->second);
-  pending_.erase(it);
+  s_.pending.erase(it);
   simulator()->Cancel(pending.timer);
   if (pending.op == QueueOp::kDequeue) {
     if (ok) {
@@ -278,17 +280,17 @@ void Broker::FinishOp(uint64_t seq, bool ok) {
 
 void Broker::OnMessage(const net::Envelope& envelope) {
   if (std::find(brokers_.begin(), brokers_.end(), envelope.src) != brokers_.end()) {
-    detector_.RecordHeartbeat(envelope.src, Now());
+    s_.detector.RecordHeartbeat(envelope.src, Now());
   }
   const net::Message& msg = *envelope.msg;
   if (dynamic_cast<const zksvc::ZkPong*>(&msg) != nullptr) {
-    last_zk_pong_ = Now();
+    s_.last_zk_pong = Now();
     return;
   }
   if (auto* create_reply = dynamic_cast<const zksvc::ZkCreateReply*>(&msg)) {
-    create_pending_ = false;
+    s_.create_pending = false;
     if (create_reply->ok) {
-      is_master_ = true;
+      s_.is_master = true;
       TraceEvent("master", "acquired mastership");
     } else {
       {
@@ -300,9 +302,9 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     return;
   }
   if (auto* event = dynamic_cast<const zksvc::ZkEvent*>(&msg)) {
-    if (event->deleted && !is_master_) {
+    if (event->deleted && !s_.is_master) {
       TryBecomeMaster();
-    } else if (!is_master_) {
+    } else if (!s_.is_master) {
       {
     auto watch = std::make_shared<zksvc::ZkWatch>();
     watch->path = kMasterPath;
@@ -312,15 +314,15 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     return;
   }
   if (auto* get_reply = dynamic_cast<const zksvc::ZkGetReply*>(&msg)) {
-    if (is_master_) {
+    if (s_.is_master) {
       if (!get_reply->exists) {
         // Our session expired while partitioned away; the entry is gone.
-        is_master_ = false;
+        s_.is_master = false;
         TraceEvent("demoted", "mastership entry vanished");
         TryBecomeMaster();
       } else if (get_reply->data != std::to_string(id())) {
         // Someone else took over; fall in line and resync.
-        is_master_ = false;
+        s_.is_master = false;
         TraceEvent("demoted", "new master=" + get_reply->data);
         const net::NodeId new_master = static_cast<net::NodeId>(std::stol(get_reply->data));
         Send<QueueSyncRequest>(new_master);
@@ -335,13 +337,13 @@ void Broker::OnMessage(const net::Envelope& envelope) {
   }
   if (dynamic_cast<const QueueSyncRequest*>(&msg) != nullptr) {
     auto snapshot = std::make_shared<QueueSnapshot>();
-    snapshot->queues = queues_;
+    snapshot->queues = s_.queues;
     SendEnvelope(envelope.src, snapshot);
     return;
   }
   if (auto* snapshot = dynamic_cast<const QueueSnapshot*>(&msg)) {
-    if (!is_master_) {
-      queues_ = snapshot->queues;
+    if (!s_.is_master) {
+      s_.queues = snapshot->queues;
       TraceEvent("synced");
     }
     return;
@@ -358,30 +360,6 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     HandleReplAck(envelope, *ack);
     return;
   }
-}
-
-Broker::State Broker::CaptureState() const {
-  State state;
-  state.is_master = is_master_;
-  state.create_pending = create_pending_;
-  state.last_zk_pong = last_zk_pong_;
-  state.next_zk_request = next_zk_request_;
-  state.next_seq = next_seq_;
-  state.queues = queues_;
-  state.pending = pending_;
-  state.detector_last_heard = detector_.last_heard();
-  return state;
-}
-
-void Broker::RestoreState(const State& state) {
-  is_master_ = state.is_master;
-  create_pending_ = state.create_pending;
-  last_zk_pong_ = state.last_zk_pong;
-  next_zk_request_ = state.next_zk_request;
-  next_seq_ = state.next_seq;
-  queues_ = state.queues;
-  pending_ = state.pending;
-  detector_.set_last_heard(state.detector_last_heard);
 }
 
 }  // namespace mqueue

@@ -23,14 +23,9 @@ class Broker : public cluster::Process {
   Broker(sim::Simulator* simulator, net::Network* network, net::NodeId id,
          const Options& options, std::vector<net::NodeId> brokers, net::NodeId zk);
 
-  bool is_master() const { return is_master_; }
+  bool is_master() const { return s_.is_master; }
   size_t QueueSize(const std::string& queue) const;
   bool QueueContains(const std::string& queue, const std::string& value) const;
-
-  // --- snapshot / restore (NEAT fork executor) ---
-  struct State;
-  State CaptureState() const;
-  void RestoreState(const State& state);
 
  protected:
   void OnStart() override;
@@ -48,6 +43,23 @@ class Broker : public cluster::Process {
     sim::EventId timer = sim::kInvalidEventId;
   };
 
+ public:
+  // --- snapshot / restore (NEAT fork executor) ---
+  // Every mutable field lives in State, so a snapshot is a copy of s_.
+  struct State {
+    bool is_master = false;
+    bool create_pending = false;
+    sim::Time last_zk_pong = sim::kTimeZero;
+    uint64_t next_zk_request = 1;
+    uint64_t next_seq = 1;
+    std::map<std::string, std::deque<std::string>> queues;
+    std::map<uint64_t, PendingOp> pending;
+    cluster::FailureDetector detector;
+  };
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
+
+ private:
   void Tick();
   void TryBecomeMaster();
   void ResignMastership(const std::string& reason);
@@ -63,31 +75,10 @@ class Broker : public cluster::Process {
   // Applies an op to the local queues. For dequeue, removes `value`.
   void ApplyLocal(QueueOp op, const std::string& queue, const std::string& value);
 
-  // detlint: allow(snapshot-field): configuration fixed at construction
-  Options options_;
-  // detlint: allow(snapshot-field): broker topology fixed at construction
-  std::vector<net::NodeId> brokers_;
-  // detlint: allow(snapshot-field): registry address fixed at construction
-  net::NodeId zk_;
-  bool is_master_ = false;
-  bool create_pending_ = false;
-  sim::Time last_zk_pong_ = sim::kTimeZero;
-  uint64_t next_zk_request_ = 1;
-  uint64_t next_seq_ = 1;
-  std::map<std::string, std::deque<std::string>> queues_;
-  std::map<uint64_t, PendingOp> pending_;
-  cluster::FailureDetector detector_;
-};
-
-struct Broker::State {
-  bool is_master = false;
-  bool create_pending = false;
-  sim::Time last_zk_pong = sim::kTimeZero;
-  uint64_t next_zk_request = 1;
-  uint64_t next_seq = 1;
-  std::map<std::string, std::deque<std::string>> queues;
-  std::map<uint64_t, PendingOp> pending;
-  std::map<net::NodeId, sim::Time> detector_last_heard;
+  const Options options_;
+  const std::vector<net::NodeId> brokers_;
+  const net::NodeId zk_;
+  State s_;
 };
 
 }  // namespace mqueue

@@ -12,7 +12,7 @@ Client::Client(sim::Simulator* simulator, net::Network* network, net::NodeId id,
       brokers_(std::move(brokers)),
       history_(history) {
   assert(!brokers_.empty());
-  contact_ = brokers_.front();
+  s_.contact = brokers_.front();
 }
 
 void Client::BeginSend(const std::string& queue, const std::string& value) {
@@ -25,47 +25,47 @@ void Client::BeginReceive(const std::string& queue, bool final_drain) {
 
 void Client::Begin(check::OpType type, QueueOp op, const std::string& queue,
                    const std::string& value, bool final_drain) {
-  assert(!outstanding_ && "one operation at a time");
-  outstanding_ = true;
-  current_request_id_ = next_request_id_++;
-  pending_op_ = check::Operation{};
-  pending_op_.client = client_num_;
-  pending_op_.type = type;
-  pending_op_.key = queue;
-  pending_op_.value = value;
-  pending_op_.invoked = Now();
-  pending_op_.final_read = final_drain;
+  assert(!s_.outstanding && "one operation at a time");
+  s_.outstanding = true;
+  s_.current_request_id = s_.next_request_id++;
+  s_.pending_op = check::Operation{};
+  s_.pending_op.client = client_num_;
+  s_.pending_op.type = type;
+  s_.pending_op.key = queue;
+  s_.pending_op.value = value;
+  s_.pending_op.invoked = Now();
+  s_.pending_op.final_read = final_drain;
 
   auto request = std::make_shared<ClientQueueRequest>();
-  request->request_id = current_request_id_;
+  request->request_id = s_.current_request_id;
   request->op = op;
   request->queue = queue;
   request->value = value;
-  SendEnvelope(contact_, request);
-  timeout_timer_ = After(op_timeout_, [this]() {
-    if (outstanding_) {
+  SendEnvelope(s_.contact, request);
+  s_.timeout_timer = After(s_.op_timeout, [this]() {
+    if (s_.outstanding) {
       Complete(check::OpStatus::kTimeout, "");
     }
   });
 }
 
 void Client::Complete(check::OpStatus status, const std::string& value) {
-  outstanding_ = false;
-  simulator()->Cancel(timeout_timer_);
-  pending_op_.completed = Now();
-  pending_op_.status = status;
-  if (pending_op_.type == check::OpType::kDequeue) {
-    pending_op_.value = value;
+  s_.outstanding = false;
+  simulator()->Cancel(s_.timeout_timer);
+  s_.pending_op.completed = Now();
+  s_.pending_op.status = status;
+  if (s_.pending_op.type == check::OpType::kDequeue) {
+    s_.pending_op.value = value;
   }
-  last_op_ = pending_op_;
+  s_.last_op = s_.pending_op;
   if (history_ != nullptr) {
-    last_op_.id = history_->Record(pending_op_);
+    s_.last_op.id = history_->Record(s_.pending_op);
   }
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
   const auto* reply = dynamic_cast<const ClientQueueReply*>(envelope.msg.get());
-  if (reply == nullptr || !outstanding_ || reply->request_id != current_request_id_) {
+  if (reply == nullptr || !s_.outstanding || reply->request_id != s_.current_request_id) {
     return;
   }
   if (reply->not_master) {

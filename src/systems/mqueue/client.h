@@ -17,14 +17,14 @@ class Client : public cluster::Process {
   Client(sim::Simulator* simulator, net::Network* network, net::NodeId id, int client_num,
          std::vector<net::NodeId> brokers, check::History* history);
 
-  void set_contact(net::NodeId contact) { contact_ = contact; }
-  void set_op_timeout(sim::Duration timeout) { op_timeout_ = timeout; }
+  void set_contact(net::NodeId contact) { s_.contact = contact; }
+  void set_op_timeout(sim::Duration timeout) { s_.op_timeout = timeout; }
 
   void BeginSend(const std::string& queue, const std::string& value);
   void BeginReceive(const std::string& queue, bool final_drain = false);
 
-  bool idle() const { return !outstanding_; }
-  const check::Operation& last_op() const { return last_op_; }
+  bool idle() const { return !s_.outstanding; }
+  const check::Operation& last_op() const { return s_.last_op; }
   int client_num() const { return client_num_; }
 
   // --- snapshot / restore (NEAT fork executor) ---
@@ -38,20 +38,8 @@ class Client : public cluster::Process {
     check::Operation last_op;
     sim::EventId timeout_timer = sim::kInvalidEventId;
   };
-  State CaptureState() const {
-    return State{contact_,     op_timeout_, outstanding_,  next_request_id_,
-                 current_request_id_, pending_op_, last_op_, timeout_timer_};
-  }
-  void RestoreState(const State& state) {
-    contact_ = state.contact;
-    op_timeout_ = state.op_timeout;
-    outstanding_ = state.outstanding;
-    next_request_id_ = state.next_request_id;
-    current_request_id_ = state.current_request_id;
-    pending_op_ = state.pending_op;
-    last_op_ = state.last_op;
-    timeout_timer_ = state.timeout_timer;
-  }
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
 
  protected:
   void OnMessage(const net::Envelope& envelope) override;
@@ -61,20 +49,10 @@ class Client : public cluster::Process {
              const std::string& value, bool final_drain);
   void Complete(check::OpStatus status, const std::string& value);
 
-  // detlint: allow(snapshot-field): client identity fixed at construction
-  int client_num_;
-  // detlint: allow(snapshot-field): broker topology fixed at construction
-  std::vector<net::NodeId> brokers_;
+  const int client_num_;
+  const std::vector<net::NodeId> brokers_;
   check::History* history_;
-  net::NodeId contact_;
-  sim::Duration op_timeout_ = sim::Milliseconds(800);
-
-  bool outstanding_ = false;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+  State s_;
 };
 
 }  // namespace mqueue

@@ -12,7 +12,7 @@ Client::Client(sim::Simulator* simulator, net::Network* network, net::NodeId id,
       servers_(std::move(servers)),
       history_(history) {
   assert(!servers_.empty());
-  contact_ = servers_.front();
+  s_.contact = servers_.front();
 }
 
 void Client::BeginPut(const std::string& key, const std::string& value) {
@@ -31,23 +31,23 @@ void Client::BeginDelete(const std::string& key) {
 
 void Client::Begin(check::OpType type, OpKind kind, bool is_read, const std::string& key,
                    const std::string& value, bool final_read) {
-  assert(!outstanding_ && "one operation at a time");
-  outstanding_ = true;
-  current_request_id_ = next_request_id_++;
-  redirects_left_ = 3;
-  pending_op_ = check::Operation{};
-  pending_op_.client = client_num_;
-  pending_op_.type = type;
-  pending_op_.key = key;
-  pending_op_.value = value;
-  pending_op_.invoked = Now();
-  pending_op_.final_read = final_read;
+  assert(!s_.outstanding && "one operation at a time");
+  s_.outstanding = true;
+  s_.current_request_id = s_.next_request_id++;
+  s_.redirects_left = 3;
+  s_.pending_op = check::Operation{};
+  s_.pending_op.client = client_num_;
+  s_.pending_op.type = type;
+  s_.pending_op.key = key;
+  s_.pending_op.value = value;
+  s_.pending_op.invoked = Now();
+  s_.pending_op.final_read = final_read;
   // Stash the wire fields in the request we resend on redirect.
-  request_kind_ = kind;
-  request_is_read_ = is_read;
-  SendRequest(contact_);
-  timeout_timer_ = After(op_timeout_, [this]() {
-    if (outstanding_) {
+  s_.request_kind = kind;
+  s_.request_is_read = is_read;
+  SendRequest(s_.contact);
+  s_.timeout_timer = After(s_.op_timeout, [this]() {
+    if (s_.outstanding) {
       Complete(check::OpStatus::kTimeout, "");
     }
   });
@@ -55,38 +55,38 @@ void Client::Begin(check::OpType type, OpKind kind, bool is_read, const std::str
 
 void Client::SendRequest(net::NodeId target) {
   auto request = std::make_shared<ClientRequest>();
-  request->request_id = current_request_id_;
-  request->kind = request_kind_;
-  request->is_read = request_is_read_;
-  request->key = pending_op_.key;
-  request->value = pending_op_.value;
+  request->request_id = s_.current_request_id;
+  request->kind = s_.request_kind;
+  request->is_read = s_.request_is_read;
+  request->key = s_.pending_op.key;
+  request->value = s_.pending_op.value;
   SendEnvelope(target, request);
 }
 
 void Client::Complete(check::OpStatus status, const std::string& value) {
-  outstanding_ = false;
-  simulator()->Cancel(timeout_timer_);
-  pending_op_.completed = Now();
-  pending_op_.status = status;
-  if (pending_op_.type == check::OpType::kRead) {
-    pending_op_.value = value;
+  s_.outstanding = false;
+  simulator()->Cancel(s_.timeout_timer);
+  s_.pending_op.completed = Now();
+  s_.pending_op.status = status;
+  if (s_.pending_op.type == check::OpType::kRead) {
+    s_.pending_op.value = value;
   }
-  last_op_ = pending_op_;
+  s_.last_op = s_.pending_op;
   if (history_ != nullptr) {
-    const uint64_t op_id = history_->Record(pending_op_);
-    last_op_.id = op_id;
+    const uint64_t op_id = history_->Record(s_.pending_op);
+    s_.last_op.id = op_id;
   }
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
   const auto* reply = dynamic_cast<const ClientReply*>(envelope.msg.get());
-  if (reply == nullptr || !outstanding_ || reply->request_id != current_request_id_) {
+  if (reply == nullptr || !s_.outstanding || reply->request_id != s_.current_request_id) {
     return;
   }
   if (reply->not_leader) {
-    if (allow_redirect_ && redirects_left_ > 0 && reply->leader_hint != net::kInvalidNode &&
+    if (s_.allow_redirect && s_.redirects_left > 0 && reply->leader_hint != net::kInvalidNode &&
         reply->leader_hint != envelope.src) {
-      --redirects_left_;
+      --s_.redirects_left;
       SendRequest(reply->leader_hint);
       return;
     }

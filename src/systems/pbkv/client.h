@@ -23,12 +23,12 @@ class Client : public cluster::Process {
 
   // The server this client talks to first; NEAT tests pin clients to one
   // side of a partition by setting the contact.
-  void set_contact(net::NodeId contact) { contact_ = contact; }
-  net::NodeId contact() const { return contact_; }
+  void set_contact(net::NodeId contact) { s_.contact = contact; }
+  net::NodeId contact() const { return s_.contact; }
 
   // Whether a "not leader" reply is followed to the hinted leader.
-  void set_allow_redirect(bool allow) { allow_redirect_ = allow; }
-  void set_op_timeout(sim::Duration timeout) { op_timeout_ = timeout; }
+  void set_allow_redirect(bool allow) { s_.allow_redirect = allow; }
+  void set_op_timeout(sim::Duration timeout) { s_.op_timeout = timeout; }
 
   // Begins an operation; completion is observable through idle(). The test
   // engine runs the simulator until the client is idle again.
@@ -36,9 +36,9 @@ class Client : public cluster::Process {
   void BeginGet(const std::string& key, bool final_read = false);
   void BeginDelete(const std::string& key);
 
-  bool idle() const { return !outstanding_; }
+  bool idle() const { return !s_.outstanding; }
   // The most recently completed operation (valid once idle after a Begin*).
-  const check::Operation& last_op() const { return last_op_; }
+  const check::Operation& last_op() const { return s_.last_op; }
   int client_num() const { return client_num_; }
 
   // --- snapshot / restore (NEAT fork executor) ---
@@ -56,26 +56,8 @@ class Client : public cluster::Process {
     check::Operation last_op;
     sim::EventId timeout_timer = sim::kInvalidEventId;
   };
-  State CaptureState() const {
-    return State{contact_,           allow_redirect_, op_timeout_,
-                 outstanding_,       request_kind_,   request_is_read_,
-                 next_request_id_,   current_request_id_, redirects_left_,
-                 pending_op_,        last_op_,        timeout_timer_};
-  }
-  void RestoreState(const State& state) {
-    contact_ = state.contact;
-    allow_redirect_ = state.allow_redirect;
-    op_timeout_ = state.op_timeout;
-    outstanding_ = state.outstanding;
-    request_kind_ = state.request_kind;
-    request_is_read_ = state.request_is_read;
-    next_request_id_ = state.next_request_id;
-    current_request_id_ = state.current_request_id;
-    redirects_left_ = state.redirects_left;
-    pending_op_ = state.pending_op;
-    last_op_ = state.last_op;
-    timeout_timer_ = state.timeout_timer;
-  }
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
 
  protected:
   void OnMessage(const net::Envelope& envelope) override;
@@ -86,24 +68,10 @@ class Client : public cluster::Process {
   void SendRequest(net::NodeId target);
   void Complete(check::OpStatus status, const std::string& value);
 
-  // detlint: allow(snapshot-field): client identity fixed at construction
-  int client_num_;
-  // detlint: allow(snapshot-field): server topology fixed at construction
-  std::vector<net::NodeId> servers_;
+  const int client_num_;
+  const std::vector<net::NodeId> servers_;
   check::History* history_;
-  net::NodeId contact_ = net::kInvalidNode;
-  bool allow_redirect_ = true;
-  sim::Duration op_timeout_ = sim::Milliseconds(800);
-
-  bool outstanding_ = false;
-  OpKind request_kind_ = OpKind::kPut;
-  bool request_is_read_ = false;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
-  int redirects_left_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+  State s_;
 };
 
 }  // namespace pbkv

@@ -8,53 +8,60 @@ namespace {
 
 size_t MajorityOf(size_t n) { return n / 2 + 1; }
 
+std::vector<net::NodeId> Sorted(std::vector<net::NodeId> nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  return nodes;
+}
+
+std::vector<net::NodeId> WithArbiter(std::vector<net::NodeId> replicas, net::NodeId arbiter) {
+  if (arbiter != net::kInvalidNode) {
+    replicas.push_back(arbiter);
+  }
+  return replicas;
+}
+
 }  // namespace
 
 Server::Server(sim::Simulator* simulator, net::Network* network, net::NodeId id,
                const Options& options, std::vector<net::NodeId> replicas, net::NodeId arbiter)
     : cluster::Process(simulator, network, id, "pbkv.n" + std::to_string(id)),
       options_(options),
-      replicas_(std::move(replicas)),
+      replicas_(Sorted(std::move(replicas))),
       arbiter_(arbiter),
-      detector_(id, {}, {options.heartbeat_interval, options.election_miss_threshold}) {
-  std::sort(replicas_.begin(), replicas_.end());
-  members_ = replicas_;
-  if (arbiter_ != net::kInvalidNode) {
-    members_.push_back(arbiter_);
-  }
-  detector_ = cluster::FailureDetector(
+      members_(WithArbiter(replicas_, arbiter)) {
+  s_.detector = cluster::FailureDetector(
       id, members_, {options.heartbeat_interval, options.election_miss_threshold});
 }
 
 void Server::OnStart() {
-  term_ = 1;
-  current_leader_ = replicas_.front();
+  s_.term = 1;
+  s_.current_leader = replicas_.front();
   if (id() == arbiter_) {
-    role_ = Role::kArbiter;
-  } else if (id() == current_leader_) {
-    role_ = Role::kPrimary;
+    s_.role = Role::kArbiter;
+  } else if (id() == s_.current_leader) {
+    s_.role = Role::kPrimary;
   } else {
-    role_ = Role::kFollower;
+    s_.role = Role::kFollower;
   }
-  detector_.Reset(Now());
-  last_leader_contact_ = Now();
+  s_.detector.Reset(Now());
+  s_.last_leader_contact = Now();
   Every(options_.heartbeat_interval, [this]() { Tick(); });
 }
 
 bool Server::LeaderFunctioning() const {
-  if (role_ == Role::kPrimary) {
+  if (s_.role == Role::kPrimary) {
     return true;
   }
-  if (current_leader_ == net::kInvalidNode) {
+  if (s_.current_leader == net::kInvalidNode) {
     return false;
   }
   const sim::Duration election_timeout =
       options_.heartbeat_interval * options_.election_miss_threshold;
-  return Now() - last_leader_contact_ <= election_timeout;
+  return Now() - s_.last_leader_contact <= election_timeout;
 }
 
 sim::Time Server::LastTimestamp() const {
-  return log_.empty() ? sim::kTimeZero : log_.back().timestamp;
+  return s_.log.empty() ? sim::kTimeZero : s_.log.back().timestamp;
 }
 
 int Server::Priority() const {
@@ -72,7 +79,7 @@ void Server::Tick() {
       Send<cluster::HeartbeatMsg>(peer, incarnation());
     }
   }
-  if (role_ == Role::kPrimary) {
+  if (s_.role == Role::kPrimary) {
     AnnounceLeadership();
     // Step down when a majority of the membership has been unreachable for
     // the (long) step-down window.
@@ -80,46 +87,46 @@ void Server::Tick() {
         options_.heartbeat_interval * options_.stepdown_miss_threshold;
     size_t alive = 1;  // self
     for (net::NodeId peer : members_) {
-      if (peer != id() && detector_.IsAliveWithin(peer, Now(), stepdown_timeout)) {
+      if (peer != id() && s_.detector.IsAliveWithin(peer, Now(), stepdown_timeout)) {
         ++alive;
       }
     }
     if (alive < VotingMajority()) {
-      StepDown("lost majority of membership", net::kInvalidNode, term_);
+      StepDown("lost majority of membership", net::kInvalidNode, s_.term);
     }
-  } else if (role_ != Role::kArbiter) {
+  } else if (s_.role != Role::kArbiter) {
     MaybeStartElection();
   }
 }
 
 void Server::MaybeStartElection() {
-  if (election_scheduled_ || role_ == Role::kPrimary || role_ == Role::kArbiter) {
+  if (s_.election_scheduled || s_.role == Role::kPrimary || s_.role == Role::kArbiter) {
     return;
   }
   if (LeaderFunctioning()) {
     return;
   }
-  election_scheduled_ = true;
+  s_.election_scheduled = true;
   // Randomized backoff so simultaneous candidacies eventually separate.
   const sim::Duration backoff = static_cast<sim::Duration>(simulator()->Rand().NextBelow(
       static_cast<uint64_t>(2 * options_.heartbeat_interval) + 1));
   After(backoff, [this]() {
-    election_scheduled_ = false;
-    if (role_ != Role::kPrimary && role_ != Role::kArbiter && !LeaderFunctioning()) {
+    s_.election_scheduled = false;
+    if (s_.role != Role::kPrimary && s_.role != Role::kArbiter && !LeaderFunctioning()) {
       StartElection();
     }
   });
 }
 
 void Server::StartElection() {
-  ++elections_started_;
-  role_ = Role::kCandidate;
-  term_ = std::max(term_, voted_term_) + 1;
-  voted_term_ = term_;
-  votes_.clear();
-  votes_.insert(id());
-  TraceEvent("election-start", "term=" + std::to_string(term_));
-  if (votes_.size() >= VotingMajority()) {
+  ++s_.elections_started;
+  s_.role = Role::kCandidate;
+  s_.term = std::max(s_.term, s_.voted_term) + 1;
+  s_.voted_term = s_.term;
+  s_.votes.clear();
+  s_.votes.insert(id());
+  TraceEvent("election-start", "term=" + std::to_string(s_.term));
+  if (s_.votes.size() >= VotingMajority()) {
     BecomeLeader();
     return;
   }
@@ -128,27 +135,27 @@ void Server::StartElection() {
       continue;
     }
     auto msg = std::make_shared<RequestVote>();
-    msg->term = term_;
+    msg->term = s_.term;
     msg->candidate = id();
-    msg->log_length = log_.size();
+    msg->log_length = s_.log.size();
     msg->last_timestamp = LastTimestamp();
     msg->priority = Priority();
     SendEnvelope(peer, msg);
   }
   // Give up and retry later if the election does not conclude.
-  const uint64_t this_term = term_;
+  const uint64_t this_term = s_.term;
   After(2 * options_.heartbeat_interval * options_.election_miss_threshold, [this, this_term]() {
-    if (role_ == Role::kCandidate && term_ == this_term) {
-      role_ = Role::kFollower;
+    if (s_.role == Role::kCandidate && s_.term == this_term) {
+      s_.role = Role::kFollower;
       TraceEvent("election-timeout", "term=" + std::to_string(this_term));
     }
   });
 }
 
 void Server::BecomeLeader() {
-  role_ = Role::kPrimary;
-  current_leader_ = id();
-  TraceEvent("elected", "term=" + std::to_string(term_));
+  s_.role = Role::kPrimary;
+  s_.current_leader = id();
+  TraceEvent("elected", "term=" + std::to_string(s_.term));
   AnnounceLeadership();
 }
 
@@ -158,41 +165,41 @@ void Server::AnnounceLeadership() {
       continue;
     }
     auto msg = std::make_shared<LeaderAnnounce>();
-    msg->term = term_;
+    msg->term = s_.term;
     msg->leader = id();
-    msg->log_length = log_.size();
+    msg->log_length = s_.log.size();
     msg->last_timestamp = LastTimestamp();
     SendEnvelope(peer, msg);
   }
 }
 
 void Server::StepDown(const std::string& reason, net::NodeId new_leader, uint64_t new_term) {
-  if (role_ == Role::kPrimary) {
-    ++stepdowns_;
+  if (s_.role == Role::kPrimary) {
+    ++s_.stepdowns;
   }
   TraceEvent("step-down", reason);
-  role_ = Role::kFollower;
-  term_ = std::max(term_, new_term);
-  current_leader_ = new_leader;
+  s_.role = Role::kFollower;
+  s_.term = std::max(s_.term, new_term);
+  s_.current_leader = new_leader;
   if (new_leader != net::kInvalidNode) {
-    detector_.RecordHeartbeat(new_leader, Now());
-    last_leader_contact_ = Now();
+    s_.detector.RecordHeartbeat(new_leader, Now());
+    s_.last_leader_contact = Now();
   }
   FailPendingOps(reason);
 }
 
 void Server::FailPendingOps(const std::string& reason) {
   (void)reason;
-  for (auto& [lsn, pending] : pending_writes_) {
+  for (auto& [lsn, pending] : s_.pending_writes) {
     simulator()->Cancel(pending.timer);
     ReplyToClient(pending.client, pending.request_id, /*ok=*/false);
   }
-  pending_writes_.clear();
-  for (auto& [guard, pending] : pending_reads_) {
+  s_.pending_writes.clear();
+  for (auto& [guard, pending] : s_.pending_reads) {
     simulator()->Cancel(pending.timer);
     ReplyToClient(pending.client, pending.request_id, /*ok=*/false);
   }
-  pending_reads_.clear();
+  s_.pending_reads.clear();
 }
 
 void Server::ReplyToClient(net::NodeId client, uint64_t request_id, bool ok,
@@ -201,13 +208,13 @@ void Server::ReplyToClient(net::NodeId client, uint64_t request_id, bool ok,
   reply->request_id = request_id;
   reply->ok = ok;
   reply->not_leader = not_leader;
-  reply->leader_hint = current_leader_;
+  reply->leader_hint = s_.current_leader;
   reply->value = value;
   SendEnvelope(client, reply);
 }
 
 void Server::ApplyEntry(const LogEntry& entry) {
-  StoreValue& slot = store_[entry.key];
+  StoreValue& slot = s_.store[entry.key];
   slot.timestamp = entry.timestamp;
   if (entry.kind == OpKind::kPut) {
     slot.value = entry.value;
@@ -222,7 +229,7 @@ void Server::ApplyEntry(const LogEntry& entry) {
 }
 
 void Server::ApplyCommittedView(const LogEntry& entry) {
-  StoreValue& slot = store_[entry.key];
+  StoreValue& slot = s_.store[entry.key];
   if (entry.kind == OpKind::kPut) {
     slot.committed_value = entry.value;
     slot.committed_present = true;
@@ -233,7 +240,7 @@ void Server::ApplyCommittedView(const LogEntry& entry) {
 }
 
 void Server::CommitEntry(uint64_t lsn) {
-  for (LogEntry& entry : log_) {
+  for (LogEntry& entry : s_.log) {
     if (entry.lsn == lsn && !entry.committed) {
       entry.committed = true;
       ApplyCommittedView(entry);
@@ -242,23 +249,23 @@ void Server::CommitEntry(uint64_t lsn) {
 }
 
 void Server::RebuildStore() {
-  store_.clear();
-  for (const LogEntry& entry : log_) {
+  s_.store.clear();
+  for (const LogEntry& entry : s_.log) {
     ApplyEntry(entry);
   }
 }
 
 std::optional<std::string> Server::StoreGet(const std::string& key) const {
-  auto it = store_.find(key);
-  if (it == store_.end() || !it->second.present) {
+  auto it = s_.store.find(key);
+  if (it == s_.store.end() || !it->second.present) {
     return std::nullopt;
   }
   return it->second.value;
 }
 
 std::optional<std::string> Server::StoreGetCommitted(const std::string& key) const {
-  auto it = store_.find(key);
-  if (it == store_.end() || !it->second.committed_present) {
+  auto it = s_.store.find(key);
+  if (it == s_.store.end() || !it->second.committed_present) {
     return std::nullopt;
   }
   return it->second.committed_value;
@@ -267,7 +274,7 @@ std::optional<std::string> Server::StoreGetCommitted(const std::string& key) con
 void Server::OnMessage(const net::Envelope& envelope) {
   // Any traffic from a member doubles as liveness evidence.
   if (std::find(members_.begin(), members_.end(), envelope.src) != members_.end()) {
-    detector_.RecordHeartbeat(envelope.src, Now());
+    s_.detector.RecordHeartbeat(envelope.src, Now());
   }
   const net::Message& msg = *envelope.msg;
   if (auto* request = dynamic_cast<const ClientRequest*>(&msg)) {
@@ -299,44 +306,44 @@ void Server::OnMessage(const net::Envelope& envelope) {
 }
 
 void Server::ForwardToPrimary(const net::Envelope& envelope, const ClientRequest& request) {
-  const uint64_t forward_id = next_forward_id_++;
+  const uint64_t forward_id = s_.next_forward_id++;
   PendingForward forward;
   forward.client = envelope.src;
   forward.request_id = request.request_id;
   forward.timer = After(2 * options_.replication_timeout, [this, forward_id]() {
-    auto it = forwards_.find(forward_id);
-    if (it != forwards_.end()) {
+    auto it = s_.forwards.find(forward_id);
+    if (it != s_.forwards.end()) {
       // No reply from the primary. The write may well have committed — but
       // the client is told it failed (#9967's wrong status code).
       TraceEvent("forward-timeout", "id=" + std::to_string(forward_id));
       ReplyToClient(it->second.client, it->second.request_id, /*ok=*/false);
-      forwards_.erase(it);
+      s_.forwards.erase(it);
     }
   });
-  forwards_.emplace(forward_id, forward);
+  s_.forwards.emplace(forward_id, forward);
   auto forwarded = std::make_shared<ClientRequest>();
   forwarded->request_id = forward_id;
   forwarded->kind = request.kind;
   forwarded->is_read = request.is_read;
   forwarded->key = request.key;
   forwarded->value = request.value;
-  SendEnvelope(current_leader_, forwarded);
+  SendEnvelope(s_.current_leader, forwarded);
 }
 
 void Server::HandleForwardedReply(const ClientReply& reply) {
-  auto it = forwards_.find(reply.request_id);
-  if (it == forwards_.end()) {
+  auto it = s_.forwards.find(reply.request_id);
+  if (it == s_.forwards.end()) {
     return;
   }
   simulator()->Cancel(it->second.timer);
   ReplyToClient(it->second.client, it->second.request_id, reply.ok, reply.value);
-  forwards_.erase(it);
+  s_.forwards.erase(it);
 }
 
 void Server::HandleClientRequest(const net::Envelope& envelope, const ClientRequest& request) {
-  if (role_ != Role::kPrimary) {
-    if (options_.forward_writes && !request.is_read && role_ == Role::kFollower &&
-        current_leader_ != net::kInvalidNode && current_leader_ != id()) {
+  if (s_.role != Role::kPrimary) {
+    if (options_.forward_writes && !request.is_read && s_.role == Role::kFollower &&
+        s_.current_leader != net::kInvalidNode && s_.current_leader != id()) {
       ForwardToPrimary(envelope, request);
       return;
     }
@@ -355,7 +362,7 @@ void Server::HandleClientRequest(const net::Envelope& envelope, const ClientRequ
       ReplyToClient(envelope.src, request.request_id, /*ok=*/true, value.value_or(""));
       return;
     }
-    const uint64_t guard_id = next_guard_id_++;
+    const uint64_t guard_id = s_.next_guard_id++;
     PendingRead pending;
     pending.client = envelope.src;
     pending.request_id = request.request_id;
@@ -363,19 +370,19 @@ void Server::HandleClientRequest(const net::Envelope& envelope, const ClientRequ
     pending.acks.insert(id());
     pending.needed = DataMajority();
     pending.timer = After(options_.read_guard_timeout, [this, guard_id]() {
-      auto it = pending_reads_.find(guard_id);
-      if (it != pending_reads_.end()) {
+      auto it = s_.pending_reads.find(guard_id);
+      if (it != s_.pending_reads.end()) {
         ReplyToClient(it->second.client, it->second.request_id, /*ok=*/false);
-        pending_reads_.erase(it);
+        s_.pending_reads.erase(it);
       }
     });
-    pending_reads_.emplace(guard_id, std::move(pending));
+    s_.pending_reads.emplace(guard_id, std::move(pending));
     for (net::NodeId peer : replicas_) {
       if (peer == id()) {
         continue;
       }
       auto msg = std::make_shared<ReadGuard>();
-      msg->term = term_;
+      msg->term = s_.term;
       msg->guard_id = guard_id;
       SendEnvelope(peer, msg);
     }
@@ -385,13 +392,13 @@ void Server::HandleClientRequest(const net::Envelope& envelope, const ClientRequ
   // Write path: append locally (eagerly applied — the dirty state the study
   // documents), then replicate.
   LogEntry entry;
-  entry.lsn = log_.empty() ? 1 : log_.back().lsn + 1;
-  entry.term = term_;
+  entry.lsn = s_.log.empty() ? 1 : s_.log.back().lsn + 1;
+  entry.term = s_.term;
   entry.kind = request.kind;
   entry.key = request.key;
   entry.value = request.value;
   entry.timestamp = Now();
-  log_.push_back(entry);
+  s_.log.push_back(entry);
   ApplyEntry(entry);
 
   size_t needed = 0;
@@ -402,7 +409,7 @@ void Server::HandleClientRequest(const net::Envelope& envelope, const ClientRequ
     case WriteConcern::kMajorityOfReachable: {
       size_t reachable = 1;
       for (net::NodeId peer : replicas_) {
-        if (peer != id() && detector_.IsAlive(peer, Now())) {
+        if (peer != id() && s_.detector.IsAlive(peer, Now())) {
           ++reachable;
         }
       }
@@ -419,7 +426,7 @@ void Server::HandleClientRequest(const net::Envelope& envelope, const ClientRequ
       continue;
     }
     auto msg = std::make_shared<Replicate>();
-    msg->term = term_;
+    msg->term = s_.term;
     msg->leader = id();
     msg->entry = entry;
     SendEnvelope(peer, msg);
@@ -437,47 +444,47 @@ void Server::HandleClientRequest(const net::Envelope& envelope, const ClientRequ
   pending.needed = needed;
   const uint64_t lsn = entry.lsn;
   pending.timer = After(options_.replication_timeout, [this, lsn]() {
-    auto it = pending_writes_.find(lsn);
-    if (it != pending_writes_.end()) {
+    auto it = s_.pending_writes.find(lsn);
+    if (it != s_.pending_writes.end()) {
       // Replication quorum not reached: fail the write. The entry stays in
       // the local log/store — the source of dirty reads (Figure 2).
       TraceEvent("write-failed", "lsn=" + std::to_string(lsn));
       ReplyToClient(it->second.client, it->second.request_id, /*ok=*/false);
-      pending_writes_.erase(it);
+      s_.pending_writes.erase(it);
     }
   });
-  pending_writes_.emplace(lsn, std::move(pending));
+  s_.pending_writes.emplace(lsn, std::move(pending));
 }
 
 void Server::HandleReplicate(const net::Envelope& envelope, const Replicate& msg) {
-  if (role_ == Role::kArbiter) {
+  if (s_.role == Role::kArbiter) {
     return;
   }
   const bool confused_follower = !options_.refuse_vote_if_leader_alive;
-  if (msg.term < term_ && !confused_follower) {
+  if (msg.term < s_.term && !confused_follower) {
     return;  // stale leader; let it time out
   }
-  if (msg.term > term_ || (msg.term == term_ && role_ != Role::kPrimary)) {
-    if (role_ == Role::kPrimary && msg.term > term_) {
+  if (msg.term > s_.term || (msg.term == s_.term && s_.role != Role::kPrimary)) {
+    if (s_.role == Role::kPrimary && msg.term > s_.term) {
       StepDown("higher-term replication", msg.leader, msg.term);
     }
-    term_ = std::max(term_, msg.term);
-    current_leader_ = msg.leader;
-    last_leader_contact_ = Now();
-    if (role_ != Role::kArbiter) {
-      role_ = role_ == Role::kPrimary ? role_ : Role::kFollower;
+    s_.term = std::max(s_.term, msg.term);
+    s_.current_leader = msg.leader;
+    s_.last_leader_contact = Now();
+    if (s_.role != Role::kArbiter) {
+      s_.role = s_.role == Role::kPrimary ? s_.role : Role::kFollower;
     }
   }
   // Deduplicate by (term, lsn); otherwise append and apply.
   bool known = false;
-  for (const LogEntry& existing : log_) {
+  for (const LogEntry& existing : s_.log) {
     if (existing.term == msg.entry.term && existing.lsn == msg.entry.lsn) {
       known = true;
       break;
     }
   }
   if (!known) {
-    log_.push_back(msg.entry);
+    s_.log.push_back(msg.entry);
     ApplyEntry(msg.entry);
   }
   auto ack = std::make_shared<ReplicateAck>();
@@ -487,11 +494,11 @@ void Server::HandleReplicate(const net::Envelope& envelope, const Replicate& msg
 }
 
 void Server::HandleReplicateAck(const net::Envelope& envelope, const ReplicateAck& msg) {
-  if (role_ != Role::kPrimary || msg.term != term_) {
+  if (s_.role != Role::kPrimary || msg.term != s_.term) {
     return;
   }
-  auto it = pending_writes_.find(msg.lsn);
-  if (it == pending_writes_.end()) {
+  auto it = s_.pending_writes.find(msg.lsn);
+  if (it == s_.pending_writes.end()) {
     return;
   }
   it->second.acks.insert(envelope.src);
@@ -499,17 +506,17 @@ void Server::HandleReplicateAck(const net::Envelope& envelope, const ReplicateAc
     simulator()->Cancel(it->second.timer);
     CommitEntry(msg.lsn);
     ReplyToClient(it->second.client, it->second.request_id, /*ok=*/true);
-    pending_writes_.erase(it);
+    s_.pending_writes.erase(it);
   }
 }
 
 bool Server::CriterionAccepts(const RequestVote& msg) const {
-  if (role_ == Role::kArbiter) {
+  if (s_.role == Role::kArbiter) {
     return true;  // arbiters hold no data; any contestant satisfies the criterion
   }
   switch (options_.criterion) {
     case ElectionCriterion::kLongestLog:
-      return msg.log_length >= log_.size();
+      return msg.log_length >= s_.log.size();
     case ElectionCriterion::kLatestTimestamp:
       return msg.last_timestamp >= LastTimestamp();
     case ElectionCriterion::kLowestId:
@@ -530,71 +537,71 @@ bool Server::CriterionAccepts(const RequestVote& msg) const {
 
 void Server::HandleRequestVote(const net::Envelope& envelope, const RequestVote& msg) {
   bool granted = true;
-  if (msg.term <= voted_term_ || msg.term <= term_) {
+  if (msg.term <= s_.voted_term || msg.term <= s_.term) {
     granted = false;  // already voted in this term, or the term is stale
   }
-  if (granted && role_ == Role::kPrimary) {
+  if (granted && s_.role == Role::kPrimary) {
     granted = false;  // we are the leader; the candidate should follow us
   }
-  if (granted && role_ == Role::kArbiter) {
-    if (options_.arbiter_checks_leader && current_leader_ != msg.candidate &&
+  if (granted && s_.role == Role::kArbiter) {
+    if (options_.arbiter_checks_leader && s_.current_leader != msg.candidate &&
         LeaderFunctioning()) {
       granted = false;  // SERVER-27125 fix: a healthy primary is visible
     }
   } else if (granted && options_.refuse_vote_if_leader_alive &&
-             current_leader_ != msg.candidate && LeaderFunctioning()) {
+             s_.current_leader != msg.candidate && LeaderFunctioning()) {
     granted = false;  // the Elasticsearch #2488 fix
   }
   if (granted && !CriterionAccepts(msg)) {
     granted = false;
   }
   if (granted) {
-    voted_term_ = msg.term;
+    s_.voted_term = msg.term;
     TraceEvent("vote", "for=" + std::to_string(msg.candidate) +
                            " term=" + std::to_string(msg.term));
   }
   auto reply = std::make_shared<VoteGranted>();
   reply->term = msg.term;
   reply->granted = granted;
-  reply->voter_term = term_;
+  reply->voter_term = s_.term;
   if (!granted) {
-    if (role_ == Role::kPrimary) {
+    if (s_.role == Role::kPrimary) {
       reply->leader_hint = id();
     } else if (LeaderFunctioning()) {
-      reply->leader_hint = current_leader_;
+      reply->leader_hint = s_.current_leader;
     }
   }
   SendEnvelope(envelope.src, reply);
 }
 
 void Server::HandleVoteGranted(const net::Envelope& envelope, const VoteGranted& msg) {
-  if (role_ == Role::kCandidate && !msg.granted && msg.voter_term > term_) {
+  if (s_.role == Role::kCandidate && !msg.granted && msg.voter_term > s_.term) {
     // Our candidacies inflated our term past the cluster's reality while we
     // were partitioned away; adopt the voter's term so the current leader's
     // announcements are no longer "stale" to us.
-    term_ = msg.voter_term;
-    voted_term_ = std::max(voted_term_, msg.voter_term);
-    role_ = Role::kFollower;
+    s_.term = msg.voter_term;
+    s_.voted_term = std::max(s_.voted_term, msg.voter_term);
+    s_.role = Role::kFollower;
     return;
   }
-  if (role_ == Role::kCandidate && !msg.granted && msg.leader_hint != net::kInvalidNode &&
+  if (s_.role == Role::kCandidate && !msg.granted && msg.leader_hint != net::kInvalidNode &&
       msg.leader_hint != id()) {
     // The voter sees a healthy leader we lost track of (our term may have
     // run ahead during the partition): fall in line and resynchronize.
-    role_ = Role::kFollower;
-    current_leader_ = msg.leader_hint;
-    detector_.RecordHeartbeat(msg.leader_hint, Now());
-    last_leader_contact_ = Now();
+    s_.role = Role::kFollower;
+    s_.current_leader = msg.leader_hint;
+    s_.detector.RecordHeartbeat(msg.leader_hint, Now());
+    s_.last_leader_contact = Now();
     auto sync = std::make_shared<SyncRequest>();
-    sync->term = term_;
+    sync->term = s_.term;
     SendEnvelope(msg.leader_hint, sync);
     return;
   }
-  if (role_ != Role::kCandidate || msg.term != term_ || !msg.granted) {
+  if (s_.role != Role::kCandidate || msg.term != s_.term || !msg.granted) {
     return;
   }
-  votes_.insert(envelope.src);
-  if (votes_.size() >= VotingMajority()) {
+  s_.votes.insert(envelope.src);
+  if (s_.votes.size() >= VotingMajority()) {
     BecomeLeader();
   }
 }
@@ -602,8 +609,8 @@ void Server::HandleVoteGranted(const net::Envelope& envelope, const VoteGranted&
 bool Server::WinsConflict(uint64_t other_term, net::NodeId other_leader,
                           uint64_t other_log_length, sim::Time other_last_timestamp) const {
   if (options_.conflict_winner == ConflictWinner::kHigherTerm) {
-    if (term_ != other_term) {
-      return term_ > other_term;
+    if (s_.term != other_term) {
+      return s_.term > other_term;
     }
     return id() < other_leader;
   }
@@ -611,8 +618,8 @@ bool Server::WinsConflict(uint64_t other_term, net::NodeId other_leader,
     case ElectionCriterion::kLowestId:
       return id() < other_leader;
     case ElectionCriterion::kLongestLog:
-      if (log_.size() != other_log_length) {
-        return log_.size() > other_log_length;
+      if (s_.log.size() != other_log_length) {
+        return s_.log.size() > other_log_length;
       }
       return id() < other_leader;
     case ElectionCriterion::kLatestTimestamp:
@@ -629,16 +636,16 @@ void Server::HandleLeaderAnnounce(const net::Envelope& envelope, const LeaderAnn
   if (msg.leader == id()) {
     return;
   }
-  if (role_ == Role::kPrimary) {
+  if (s_.role == Role::kPrimary) {
     if (WinsConflict(msg.term, msg.leader, msg.log_length, msg.last_timestamp)) {
       // Push back: re-announce so the other primary resolves and steps down.
       // Rate limiting is unnecessary: announcements already flow each tick.
-      if (Now() >= primary_conflict_backoff_until_) {
-        primary_conflict_backoff_until_ = Now() + options_.heartbeat_interval;
+      if (Now() >= s_.primary_conflict_backoff_until) {
+        s_.primary_conflict_backoff_until = Now() + options_.heartbeat_interval;
         auto push = std::make_shared<LeaderAnnounce>();
-        push->term = term_;
+        push->term = s_.term;
         push->leader = id();
-        push->log_length = log_.size();
+        push->log_length = s_.log.size();
         push->last_timestamp = LastTimestamp();
         SendEnvelope(envelope.src, push);
       }
@@ -650,20 +657,20 @@ void Server::HandleLeaderAnnounce(const net::Envelope& envelope, const LeaderAnn
     SendEnvelope(msg.leader, sync);
     return;
   }
-  if (msg.term < term_) {
+  if (msg.term < s_.term) {
     return;  // stale announcement
   }
-  const net::NodeId old_leader = current_leader_;
-  term_ = std::max(term_, msg.term);
-  current_leader_ = msg.leader;
-  if (role_ == Role::kCandidate) {
-    role_ = Role::kFollower;
+  const net::NodeId old_leader = s_.current_leader;
+  s_.term = std::max(s_.term, msg.term);
+  s_.current_leader = msg.leader;
+  if (s_.role == Role::kCandidate) {
+    s_.role = Role::kFollower;
   }
-  detector_.RecordHeartbeat(msg.leader, Now());
-  last_leader_contact_ = Now();
+  s_.detector.RecordHeartbeat(msg.leader, Now());
+  s_.last_leader_contact = Now();
   // An arbiter that accepts a new leader tells the deposed one to step down
   // (the MongoDB arbiter notification that drives the thrash failure).
-  if (role_ == Role::kArbiter && old_leader != net::kInvalidNode && old_leader != msg.leader) {
+  if (s_.role == Role::kArbiter && old_leader != net::kInvalidNode && old_leader != msg.leader) {
     auto cmd = std::make_shared<StepDownCommand>();
     cmd->term = msg.term;
     cmd->leader = msg.leader;
@@ -672,29 +679,29 @@ void Server::HandleLeaderAnnounce(const net::Envelope& envelope, const LeaderAnn
 }
 
 void Server::HandleStepDownCommand(const StepDownCommand& msg) {
-  if (role_ == Role::kPrimary && msg.term >= term_ && msg.leader != id()) {
+  if (s_.role == Role::kPrimary && msg.term >= s_.term && msg.leader != id()) {
     StepDown("arbiter step-down command", msg.leader, msg.term);
   }
 }
 
 void Server::HandleSyncRequest(const net::Envelope& envelope) {
-  if (role_ != Role::kPrimary) {
+  if (s_.role != Role::kPrimary) {
     return;
   }
   auto snapshot = std::make_shared<SyncSnapshot>();
-  snapshot->term = term_;
+  snapshot->term = s_.term;
   snapshot->leader = id();
-  snapshot->log = log_;
+  snapshot->log = s_.log;
   SendEnvelope(envelope.src, snapshot);
 }
 
 void Server::HandleSyncSnapshot(const SyncSnapshot& msg) {
-  if (role_ == Role::kArbiter) {
+  if (s_.role == Role::kArbiter) {
     return;
   }
   switch (options_.consolidation) {
     case ConsolidationPolicy::kAdoptWinner:
-      log_ = msg.log;
+      s_.log = msg.log;
       RebuildStore();
       break;
     case ConsolidationPolicy::kMergeLww: {
@@ -702,7 +709,7 @@ void Server::HandleSyncSnapshot(const SyncSnapshot& msg) {
       // writer wins — the policy that resurrects deleted data and loses
       // overwrites, as the study documents for Redis/Hazelcast/Aerospike.
       std::vector<LogEntry> merged = msg.log;
-      for (const LogEntry& mine : log_) {
+      for (const LogEntry& mine : s_.log) {
         bool dup = false;
         for (const LogEntry& theirs : msg.log) {
           if (theirs.term == mine.term && theirs.lsn == mine.lsn &&
@@ -718,32 +725,32 @@ void Server::HandleSyncSnapshot(const SyncSnapshot& msg) {
       std::stable_sort(merged.begin(), merged.end(), [](const LogEntry& a, const LogEntry& b) {
         return a.timestamp < b.timestamp;
       });
-      log_ = std::move(merged);
+      s_.log = std::move(merged);
       RebuildStore();
       break;
     }
   }
-  term_ = std::max(term_, msg.term);
-  current_leader_ = msg.leader;
-  last_leader_contact_ = Now();
-  role_ = Role::kFollower;
+  s_.term = std::max(s_.term, msg.term);
+  s_.current_leader = msg.leader;
+  s_.last_leader_contact = Now();
+  s_.role = Role::kFollower;
   TraceEvent("synced", "from=" + std::to_string(msg.leader));
 }
 
 void Server::HandleReadGuard(const net::Envelope& envelope, const ReadGuard& msg) {
-  if (role_ == Role::kArbiter) {
+  if (s_.role == Role::kArbiter) {
     return;
   }
   auto ack = std::make_shared<ReadGuardAck>();
   ack->term = msg.term;
   ack->guard_id = msg.guard_id;
-  ack->confirms = current_leader_ == envelope.src && term_ == msg.term;
+  ack->confirms = s_.current_leader == envelope.src && s_.term == msg.term;
   SendEnvelope(envelope.src, ack);
 }
 
 void Server::HandleReadGuardAck(const net::Envelope& envelope, const ReadGuardAck& msg) {
-  auto it = pending_reads_.find(msg.guard_id);
-  if (it == pending_reads_.end() || !msg.confirms || msg.term != term_) {
+  auto it = s_.pending_reads.find(msg.guard_id);
+  if (it == s_.pending_reads.end() || !msg.confirms || msg.term != s_.term) {
     return;
   }
   it->second.acks.insert(envelope.src);
@@ -751,52 +758,8 @@ void Server::HandleReadGuardAck(const net::Envelope& envelope, const ReadGuardAc
     auto value = StoreGetCommitted(it->second.key);
     simulator()->Cancel(it->second.timer);
     ReplyToClient(it->second.client, it->second.request_id, /*ok=*/true, value.value_or(""));
-    pending_reads_.erase(it);
+    s_.pending_reads.erase(it);
   }
-}
-
-Server::State Server::CaptureState() const {
-  State state;
-  state.role = role_;
-  state.term = term_;
-  state.current_leader = current_leader_;
-  state.voted_term = voted_term_;
-  state.votes = votes_;
-  state.election_scheduled = election_scheduled_;
-  state.last_leader_contact = last_leader_contact_;
-  state.primary_conflict_backoff_until = primary_conflict_backoff_until_;
-  state.log = log_;
-  state.store = store_;
-  state.pending_writes = pending_writes_;
-  state.pending_reads = pending_reads_;
-  state.next_guard_id = next_guard_id_;
-  state.forwards = forwards_;
-  state.next_forward_id = next_forward_id_;
-  state.detector_last_heard = detector_.last_heard();
-  state.elections_started = elections_started_;
-  state.stepdowns = stepdowns_;
-  return state;
-}
-
-void Server::RestoreState(const State& state) {
-  role_ = state.role;
-  term_ = state.term;
-  current_leader_ = state.current_leader;
-  voted_term_ = state.voted_term;
-  votes_ = state.votes;
-  election_scheduled_ = state.election_scheduled;
-  last_leader_contact_ = state.last_leader_contact;
-  primary_conflict_backoff_until_ = state.primary_conflict_backoff_until;
-  log_ = state.log;
-  store_ = state.store;
-  pending_writes_ = state.pending_writes;
-  pending_reads_ = state.pending_reads;
-  next_guard_id_ = state.next_guard_id;
-  forwards_ = state.forwards;
-  next_forward_id_ = state.next_forward_id;
-  detector_.set_last_heard(state.detector_last_heard);
-  elections_started_ = state.elections_started;
-  stepdowns_ = state.stepdowns;
 }
 
 }  // namespace pbkv

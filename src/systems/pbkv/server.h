@@ -48,26 +48,18 @@ class Server : public cluster::Process {
          const Options& options, std::vector<net::NodeId> replicas, net::NodeId arbiter);
 
   // --- introspection for tests and checkers ---
-  Role role() const { return role_; }
-  bool is_primary() const { return role_ == Role::kPrimary; }
-  uint64_t term() const { return term_; }
-  net::NodeId leader() const { return current_leader_; }
-  const std::vector<LogEntry>& log() const { return log_; }
+  Role role() const { return s_.role; }
+  bool is_primary() const { return s_.role == Role::kPrimary; }
+  uint64_t term() const { return s_.term; }
+  net::NodeId leader() const { return s_.current_leader; }
+  const std::vector<LogEntry>& log() const { return s_.log; }
   // Value currently visible for `key` on this replica (nullopt if absent).
   // The raw view includes applied-but-uncommitted entries (dirty state);
   // the committed view only reflects quorum-acknowledged writes.
   std::optional<std::string> StoreGet(const std::string& key) const;
   std::optional<std::string> StoreGetCommitted(const std::string& key) const;
-  uint64_t elections_started() const { return elections_started_; }
-  uint64_t stepdowns() const { return stepdowns_; }
-
-  // --- snapshot / restore (NEAT fork executor) ---
-  // Every mutable field as a value; configuration (options, membership) is
-  // immutable and excluded. Kernel state (epoch/crashed) is captured by the
-  // TestEnv, not here.
-  struct State;
-  State CaptureState() const;
-  void RestoreState(const State& state);
+  uint64_t elections_started() const { return s_.elections_started; }
+  uint64_t stepdowns() const { return s_.stepdowns; }
 
  protected:
   void OnStart() override;
@@ -103,6 +95,39 @@ class Server : public cluster::Process {
     sim::EventId timer = sim::kInvalidEventId;
   };
 
+ public:
+  // --- snapshot / restore (NEAT fork executor) ---
+  // Every mutable field lives in State, so a snapshot is a copy of s_;
+  // configuration (options, membership) is const and excluded. Kernel state
+  // (epoch/crashed) is captured by the TestEnv, not here.
+  struct State {
+    Role role = Role::kFollower;
+    uint64_t term = 0;
+    net::NodeId current_leader = net::kInvalidNode;
+    uint64_t voted_term = 0;
+    std::set<net::NodeId> votes;
+    bool election_scheduled = false;
+    // When we last heard *as leader* from current_leader (announcement or
+    // replication). Plain heartbeats do not count: a deposed or wedged node
+    // still heartbeats, and mistaking that for a functioning leader is how
+    // simplex partitions hang systems.
+    sim::Time last_leader_contact = sim::kTimeZero;
+    sim::Time primary_conflict_backoff_until = sim::kTimeZero;
+    std::vector<LogEntry> log;
+    std::map<std::string, StoreValue> store;
+    std::map<uint64_t, PendingWrite> pending_writes;  // by lsn
+    std::map<uint64_t, PendingRead> pending_reads;    // by guard id
+    uint64_t next_guard_id = 1;
+    std::map<uint64_t, PendingForward> forwards;  // by forwarded request id
+    uint64_t next_forward_id = 1;
+    cluster::FailureDetector detector;
+    uint64_t elections_started = 0;
+    uint64_t stepdowns = 0;
+  };
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
+
+ private:
   // Periodic tick: heartbeats out, then failure-detector-driven decisions.
   void Tick();
   void MaybeStartElection();
@@ -148,61 +173,11 @@ class Server : public cluster::Process {
   sim::Time LastTimestamp() const;
   int Priority() const;
 
-  // detlint: allow(snapshot-field): configuration fixed at construction
-  Options options_;
-  // detlint: allow(snapshot-field): replica topology fixed at construction
-  std::vector<net::NodeId> replicas_;
-  // detlint: allow(snapshot-field): arbiter address fixed at construction
-  net::NodeId arbiter_;
-  // detlint: allow(snapshot-field): derived from replicas_ + arbiter_ at construction; never mutated
-  std::vector<net::NodeId> members_;  // replicas + arbiter
-
-  Role role_ = Role::kFollower;
-  uint64_t term_ = 0;
-  net::NodeId current_leader_ = net::kInvalidNode;
-  uint64_t voted_term_ = 0;
-  std::set<net::NodeId> votes_;
-  bool election_scheduled_ = false;
-  // When we last heard *as leader* from current_leader_ (announcement or
-  // replication). Plain heartbeats do not count: a deposed or wedged node
-  // still heartbeats, and mistaking that for a functioning leader is how
-  // simplex partitions hang systems.
-  sim::Time last_leader_contact_ = sim::kTimeZero;
-  sim::Time primary_conflict_backoff_until_ = sim::kTimeZero;
-
-  std::vector<LogEntry> log_;
-  std::map<std::string, StoreValue> store_;
-  std::map<uint64_t, PendingWrite> pending_writes_;   // by lsn
-  std::map<uint64_t, PendingRead> pending_reads_;     // by guard id
-  uint64_t next_guard_id_ = 1;
-  std::map<uint64_t, PendingForward> forwards_;  // by forwarded request id
-  uint64_t next_forward_id_ = 1;
-
-  cluster::FailureDetector detector_;
-
-  uint64_t elections_started_ = 0;
-  uint64_t stepdowns_ = 0;
-};
-
-struct Server::State {
-  Role role = Role::kFollower;
-  uint64_t term = 0;
-  net::NodeId current_leader = net::kInvalidNode;
-  uint64_t voted_term = 0;
-  std::set<net::NodeId> votes;
-  bool election_scheduled = false;
-  sim::Time last_leader_contact = sim::kTimeZero;
-  sim::Time primary_conflict_backoff_until = sim::kTimeZero;
-  std::vector<LogEntry> log;
-  std::map<std::string, StoreValue> store;
-  std::map<uint64_t, PendingWrite> pending_writes;
-  std::map<uint64_t, PendingRead> pending_reads;
-  uint64_t next_guard_id = 1;
-  std::map<uint64_t, PendingForward> forwards;
-  uint64_t next_forward_id = 1;
-  std::map<net::NodeId, sim::Time> detector_last_heard;
-  uint64_t elections_started = 0;
-  uint64_t stepdowns = 0;
+  const Options options_;
+  const std::vector<net::NodeId> replicas_;  // sorted
+  const net::NodeId arbiter_;
+  const std::vector<net::NodeId> members_;  // replicas + arbiter
+  State s_;
 };
 
 }  // namespace pbkv

@@ -12,7 +12,7 @@ Client::Client(sim::Simulator* simulator, net::Network* network, net::NodeId id,
       servers_(std::move(servers)),
       history_(history) {
   assert(!servers_.empty());
-  contact_ = servers_.front();
+  s_.contact = servers_.front();
 }
 
 void Client::BeginPut(const std::string& key, const std::string& value) {
@@ -45,56 +45,56 @@ void Client::BeginChangeMembers(std::vector<net::NodeId> members) {
 }
 
 void Client::Begin(check::OpType type, Command command, bool final_read) {
-  assert(!outstanding_ && "one operation at a time");
-  outstanding_ = true;
-  current_command_ = std::move(command);
-  current_request_id_ = next_request_id_++;
-  redirects_left_ = 3;
-  pending_op_ = check::Operation{};
-  pending_op_.client = client_num_;
-  pending_op_.type = type;
-  pending_op_.key = current_command_.key;
-  pending_op_.value = current_command_.value;
-  pending_op_.invoked = Now();
-  pending_op_.final_read = final_read;
+  assert(!s_.outstanding && "one operation at a time");
+  s_.outstanding = true;
+  s_.current_command = std::move(command);
+  s_.current_request_id = s_.next_request_id++;
+  s_.redirects_left = 3;
+  s_.pending_op = check::Operation{};
+  s_.pending_op.client = client_num_;
+  s_.pending_op.type = type;
+  s_.pending_op.key = s_.current_command.key;
+  s_.pending_op.value = s_.current_command.value;
+  s_.pending_op.invoked = Now();
+  s_.pending_op.final_read = final_read;
 
   auto msg = std::make_shared<ClientCommand>();
-  msg->request_id = current_request_id_;
-  msg->command = current_command_;
-  SendEnvelope(contact_, msg);
-  timeout_timer_ = After(op_timeout_, [this]() {
-    if (outstanding_) {
+  msg->request_id = s_.current_request_id;
+  msg->command = s_.current_command;
+  SendEnvelope(s_.contact, msg);
+  s_.timeout_timer = After(s_.op_timeout, [this]() {
+    if (s_.outstanding) {
       Complete(check::OpStatus::kTimeout, "");
     }
   });
 }
 
 void Client::Complete(check::OpStatus status, const std::string& value) {
-  outstanding_ = false;
-  simulator()->Cancel(timeout_timer_);
-  pending_op_.completed = Now();
-  pending_op_.status = status;
-  if (pending_op_.type == check::OpType::kRead) {
-    pending_op_.value = value;
+  s_.outstanding = false;
+  simulator()->Cancel(s_.timeout_timer);
+  s_.pending_op.completed = Now();
+  s_.pending_op.status = status;
+  if (s_.pending_op.type == check::OpType::kRead) {
+    s_.pending_op.value = value;
   }
-  last_op_ = pending_op_;
+  s_.last_op = s_.pending_op;
   if (history_ != nullptr) {
-    last_op_.id = history_->Record(pending_op_);
+    s_.last_op.id = history_->Record(s_.pending_op);
   }
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
   const auto* resp = dynamic_cast<const ClientResponse*>(envelope.msg.get());
-  if (resp == nullptr || !outstanding_ || resp->request_id != current_request_id_) {
+  if (resp == nullptr || !s_.outstanding || resp->request_id != s_.current_request_id) {
     return;
   }
   if (resp->not_leader) {
-    if (allow_redirect_ && redirects_left_ > 0 && resp->leader_hint != net::kInvalidNode &&
+    if (s_.allow_redirect && s_.redirects_left > 0 && resp->leader_hint != net::kInvalidNode &&
         resp->leader_hint != envelope.src) {
-      --redirects_left_;
+      --s_.redirects_left;
       auto msg = std::make_shared<ClientCommand>();
-      msg->request_id = current_request_id_;
-      msg->command = current_command_;
+      msg->request_id = s_.current_request_id;
+      msg->command = s_.current_command;
       SendEnvelope(resp->leader_hint, msg);
       return;
     }

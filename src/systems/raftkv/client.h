@@ -17,9 +17,9 @@ class Client : public cluster::Process {
   Client(sim::Simulator* simulator, net::Network* network, net::NodeId id, int client_num,
          std::vector<net::NodeId> servers, check::History* history);
 
-  void set_contact(net::NodeId contact) { contact_ = contact; }
-  void set_allow_redirect(bool allow) { allow_redirect_ = allow; }
-  void set_op_timeout(sim::Duration timeout) { op_timeout_ = timeout; }
+  void set_contact(net::NodeId contact) { s_.contact = contact; }
+  void set_allow_redirect(bool allow) { s_.allow_redirect = allow; }
+  void set_op_timeout(sim::Duration timeout) { s_.op_timeout = timeout; }
 
   void BeginPut(const std::string& key, const std::string& value);
   void BeginGet(const std::string& key, bool final_read = false);
@@ -28,8 +28,8 @@ class Client : public cluster::Process {
   // "change the replication factor").
   void BeginChangeMembers(std::vector<net::NodeId> members);
 
-  bool idle() const { return !outstanding_; }
-  const check::Operation& last_op() const { return last_op_; }
+  bool idle() const { return !s_.outstanding; }
+  const check::Operation& last_op() const { return s_.last_op; }
 
   // --- snapshot / restore (NEAT fork executor) ---
   struct State {
@@ -45,25 +45,8 @@ class Client : public cluster::Process {
     check::Operation last_op;
     sim::EventId timeout_timer = sim::kInvalidEventId;
   };
-  State CaptureState() const {
-    return State{contact_,         allow_redirect_,     op_timeout_,
-                 outstanding_,     current_command_,    next_request_id_,
-                 current_request_id_, redirects_left_,  pending_op_,
-                 last_op_,         timeout_timer_};
-  }
-  void RestoreState(const State& state) {
-    contact_ = state.contact;
-    allow_redirect_ = state.allow_redirect;
-    op_timeout_ = state.op_timeout;
-    outstanding_ = state.outstanding;
-    current_command_ = state.current_command;
-    next_request_id_ = state.next_request_id;
-    current_request_id_ = state.current_request_id;
-    redirects_left_ = state.redirects_left;
-    pending_op_ = state.pending_op;
-    last_op_ = state.last_op;
-    timeout_timer_ = state.timeout_timer;
-  }
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
 
  protected:
   void OnMessage(const net::Envelope& envelope) override;
@@ -72,23 +55,10 @@ class Client : public cluster::Process {
   void Begin(check::OpType type, Command command, bool final_read);
   void Complete(check::OpStatus status, const std::string& value);
 
-  // detlint: allow(snapshot-field): client identity fixed at construction
-  int client_num_;
-  // detlint: allow(snapshot-field): server topology fixed at construction
-  std::vector<net::NodeId> servers_;
+  const int client_num_;
+  const std::vector<net::NodeId> servers_;
   check::History* history_;
-  net::NodeId contact_;
-  bool allow_redirect_ = true;
-  sim::Duration op_timeout_ = sim::Milliseconds(1500);
-
-  bool outstanding_ = false;
-  Command current_command_;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
-  int redirects_left_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+  State s_;
 };
 
 }  // namespace raftkv

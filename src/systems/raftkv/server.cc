@@ -8,8 +8,9 @@ Server::Server(sim::Simulator* simulator, net::Network* network, net::NodeId id,
                const Options& options, std::vector<net::NodeId> initial_members)
     : cluster::Process(simulator, network, id, "raft.n" + std::to_string(id)),
       options_(options),
-      initial_members_(std::move(initial_members)),
-      members_(initial_members_) {}
+      initial_members_(std::move(initial_members)) {
+  s_.members = initial_members_;
+}
 
 void Server::OnStart() {
   ResetElectionDeadline();
@@ -19,58 +20,58 @@ void Server::OnStart() {
 void Server::ResetElectionDeadline() {
   const auto span = static_cast<uint64_t>(options_.election_timeout_max -
                                           options_.election_timeout_min);
-  election_deadline_ = Now() + options_.election_timeout_min +
+  s_.election_deadline = Now() + options_.election_timeout_min +
                        static_cast<sim::Duration>(simulator()->Rand().NextBelow(span));
 }
 
 std::optional<std::string> Server::StoreGet(const std::string& key) const {
-  auto it = store_.find(key);
-  if (it == store_.end()) {
+  auto it = s_.store.find(key);
+  if (it == s_.store.end()) {
     return std::nullopt;
   }
   return it->second;
 }
 
 const LogEntry* Server::EntryAt(uint64_t index) const {
-  if (index == 0 || index > log_.size()) {
+  if (index == 0 || index > s_.log.size()) {
     return nullptr;
   }
-  return &log_[index - 1];
+  return &s_.log[index - 1];
 }
 
 bool Server::IsMember(net::NodeId node) const {
-  return std::find(members_.begin(), members_.end(), node) != members_.end();
+  return std::find(s_.members.begin(), s_.members.end(), node) != s_.members.end();
 }
 
 void Server::Tick() {
-  if (role_ == Role::kLeader) {
+  if (s_.role == Role::kLeader) {
     BroadcastAppendEntries();
     return;
   }
-  if (!removed_ && Now() >= election_deadline_) {
+  if (!s_.removed && Now() >= s_.election_deadline) {
     StartElection();
   }
 }
 
 void Server::StartElection() {
-  role_ = Role::kCandidate;
-  ++term_;
-  voted_for_ = id();
-  votes_.clear();
-  votes_.insert(id());
-  leader_id_ = net::kInvalidNode;
+  s_.role = Role::kCandidate;
+  ++s_.term;
+  s_.voted_for = id();
+  s_.votes.clear();
+  s_.votes.insert(id());
+  s_.leader_id = net::kInvalidNode;
   ResetElectionDeadline();
-  TraceEvent("election-start", "term=" + std::to_string(term_));
-  if (votes_.size() >= Majority()) {
+  TraceEvent("election-start", "term=" + std::to_string(s_.term));
+  if (s_.votes.size() >= Majority()) {
     BecomeLeader();
     return;
   }
-  for (net::NodeId peer : members_) {
+  for (net::NodeId peer : s_.members) {
     if (peer == id()) {
       continue;
     }
     auto req = std::make_shared<RequestVoteReq>();
-    req->term = term_;
+    req->term = s_.term;
     req->candidate = id();
     req->last_log_index = LastLogIndex();
     req->last_log_term = LastLogTerm();
@@ -79,34 +80,34 @@ void Server::StartElection() {
 }
 
 void Server::BecomeLeader() {
-  role_ = Role::kLeader;
-  leader_id_ = id();
-  TraceEvent("elected", "term=" + std::to_string(term_));
-  next_index_.clear();
-  match_index_.clear();
-  for (net::NodeId peer : members_) {
-    next_index_[peer] = LastLogIndex() + 1;
-    match_index_[peer] = 0;
+  s_.role = Role::kLeader;
+  s_.leader_id = id();
+  TraceEvent("elected", "term=" + std::to_string(s_.term));
+  s_.next_index.clear();
+  s_.match_index.clear();
+  for (net::NodeId peer : s_.members) {
+    s_.next_index[peer] = LastLogIndex() + 1;
+    s_.match_index[peer] = 0;
   }
   // No-op barrier entry: commits everything from earlier terms once it
   // commits (the standard fix for the stale-read-at-term-start hazard).
   LogEntry entry;
-  entry.term = term_;
+  entry.term = s_.term;
   entry.index = LastLogIndex() + 1;
   entry.command.kind = CommandKind::kNoop;
-  log_.push_back(entry);
+  s_.log.push_back(entry);
   BroadcastAppendEntries();
 }
 
 void Server::BecomeFollower(uint64_t term, net::NodeId leader) {
-  const bool was_leader = role_ == Role::kLeader;
-  role_ = Role::kFollower;
-  if (term > term_) {
-    term_ = term;
-    voted_for_ = net::kInvalidNode;
+  const bool was_leader = s_.role == Role::kLeader;
+  s_.role = Role::kFollower;
+  if (term > s_.term) {
+    s_.term = term;
+    s_.voted_for = net::kInvalidNode;
   }
   if (leader != net::kInvalidNode) {
-    leader_id_ = leader;
+    s_.leader_id = leader;
   }
   if (was_leader) {
     TraceEvent("step-down", "term=" + std::to_string(term));
@@ -116,34 +117,34 @@ void Server::BecomeFollower(uint64_t term, net::NodeId leader) {
 
 void Server::FailPending(const std::string& reason) {
   (void)reason;
-  for (const auto& [index, pending] : pending_) {
+  for (const auto& [index, pending] : s_.pending) {
     auto resp = std::make_shared<ClientResponse>();
     resp->request_id = pending.request_id;
     resp->ok = false;
     resp->not_leader = true;
-    resp->leader_hint = leader_id_;
+    resp->leader_hint = s_.leader_id;
     SendEnvelope(pending.client, resp);
   }
-  pending_.clear();
+  s_.pending.clear();
 }
 
 void Server::SendAppendEntries(net::NodeId peer) {
   auto req = std::make_shared<AppendEntriesReq>();
-  req->term = term_;
+  req->term = s_.term;
   req->leader = id();
-  const uint64_t next = next_index_[peer];
+  const uint64_t next = s_.next_index[peer];
   req->prev_log_index = next - 1;
   const LogEntry* prev = EntryAt(next - 1);
   req->prev_log_term = prev != nullptr ? prev->term : 0;
   for (uint64_t i = next; i <= LastLogIndex(); ++i) {
     req->entries.push_back(*EntryAt(i));
   }
-  req->leader_commit = commit_index_;
+  req->leader_commit = s_.commit_index;
   SendEnvelope(peer, req);
 }
 
 void Server::BroadcastAppendEntries() {
-  for (net::NodeId peer : members_) {
+  for (net::NodeId peer : s_.members) {
     if (peer != id()) {
       SendAppendEntries(peer);
     }
@@ -151,16 +152,16 @@ void Server::BroadcastAppendEntries() {
 }
 
 void Server::ApplyConfig(const Command& command) {
-  const std::vector<net::NodeId> old_members = members_;
-  members_ = command.members;
-  TraceEvent("config", "members=" + std::to_string(members_.size()));
-  if (role_ == Role::kLeader) {
+  const std::vector<net::NodeId> old_members = s_.members;
+  s_.members = command.members;
+  TraceEvent("config", "members=" + std::to_string(s_.members.size()));
+  if (s_.role == Role::kLeader) {
     // Tell replicas that just left the configuration; the leader will not
     // contact them again.
     for (net::NodeId node : old_members) {
       if (node != id() && !IsMember(node)) {
         auto notice = std::make_shared<RemoveNotice>();
-        notice->members = members_;
+        notice->members = s_.members;
         SendEnvelope(node, notice);
       }
     }
@@ -177,43 +178,43 @@ void Server::HandleRemoval() {
     // configuration, ready to vote for old-configuration candidates and to
     // serve old-configuration leaders: two replica sets for the same keys.
     TraceEvent("removed-wipe", "log deleted");
-    log_.clear();
-    store_.clear();
-    commit_index_ = 0;
-    last_applied_ = 0;
-    term_ = 0;
-    voted_for_ = net::kInvalidNode;
-    leader_id_ = net::kInvalidNode;
-    members_ = initial_members_;
-    removed_ = false;
-    role_ = Role::kFollower;
-    pending_.clear();
+    s_.log.clear();
+    s_.store.clear();
+    s_.commit_index = 0;
+    s_.last_applied = 0;
+    s_.term = 0;
+    s_.voted_for = net::kInvalidNode;
+    s_.leader_id = net::kInvalidNode;
+    s_.members = initial_members_;
+    s_.removed = false;
+    s_.role = Role::kFollower;
+    s_.pending.clear();
     ResetElectionDeadline();
   } else {
     // Correct retirement: keep the log, refuse further participation.
     TraceEvent("removed-retire");
-    removed_ = true;
-    if (role_ == Role::kLeader) {
+    s_.removed = true;
+    if (s_.role == Role::kLeader) {
       FailPending("removed from configuration");
     }
-    role_ = Role::kFollower;
+    s_.role = Role::kFollower;
   }
 }
 
 void Server::AdvanceCommitIndex() {
-  for (uint64_t n = LastLogIndex(); n > commit_index_; --n) {
+  for (uint64_t n = LastLogIndex(); n > s_.commit_index; --n) {
     const LogEntry* entry = EntryAt(n);
-    if (entry->term != term_) {
+    if (entry->term != s_.term) {
       break;  // only current-term entries commit by counting (Raft §5.4.2)
     }
     size_t count = IsMember(id()) ? 1 : 0;
-    for (net::NodeId peer : members_) {
-      if (peer != id() && match_index_[peer] >= n) {
+    for (net::NodeId peer : s_.members) {
+      if (peer != id() && s_.match_index[peer] >= n) {
         ++count;
       }
     }
     if (count >= Majority()) {
-      commit_index_ = n;
+      s_.commit_index = n;
       break;
     }
   }
@@ -221,70 +222,70 @@ void Server::AdvanceCommitIndex() {
 }
 
 void Server::ApplyCommitted() {
-  while (last_applied_ < commit_index_) {
-    ++last_applied_;
-    const LogEntry* entry = EntryAt(last_applied_);
+  while (s_.last_applied < s_.commit_index) {
+    ++s_.last_applied;
+    const LogEntry* entry = EntryAt(s_.last_applied);
     std::string read_value;
     switch (entry->command.kind) {
       case CommandKind::kPut:
-        store_[entry->command.key] = entry->command.value;
+        s_.store[entry->command.key] = entry->command.value;
         break;
       case CommandKind::kDelete:
-        store_.erase(entry->command.key);
+        s_.store.erase(entry->command.key);
         break;
       case CommandKind::kGet: {
-        auto it = store_.find(entry->command.key);
-        read_value = it == store_.end() ? "" : it->second;
+        auto it = s_.store.find(entry->command.key);
+        read_value = it == s_.store.end() ? "" : it->second;
         break;
       }
       case CommandKind::kNoop:
       case CommandKind::kConfig:
         break;  // config already applied at append time
     }
-    auto pending = pending_.find(last_applied_);
-    if (pending != pending_.end()) {
+    auto pending = s_.pending.find(s_.last_applied);
+    if (pending != s_.pending.end()) {
       auto resp = std::make_shared<ClientResponse>();
       resp->request_id = pending->second.request_id;
       resp->ok = true;
       resp->value = read_value;
       SendEnvelope(pending->second.client, resp);
-      pending_.erase(pending);
+      s_.pending.erase(pending);
     }
   }
 }
 
 void Server::HandleRequestVote(const net::Envelope& envelope, const RequestVoteReq& msg) {
-  if (removed_) {
+  if (s_.removed) {
     return;  // retired replicas no longer vote
   }
-  if (msg.term > term_) {
+  if (msg.term > s_.term) {
     BecomeFollower(msg.term, net::kInvalidNode);
   }
   const bool log_ok = msg.last_log_term > LastLogTerm() ||
                       (msg.last_log_term == LastLogTerm() &&
                        msg.last_log_index >= LastLogIndex());
-  const bool granted = msg.term == term_ && log_ok &&
-                       (voted_for_ == net::kInvalidNode || voted_for_ == msg.candidate);
+  const bool granted = msg.term == s_.term && log_ok &&
+                       (s_.voted_for == net::kInvalidNode || s_.voted_for == msg.candidate);
   if (granted) {
-    voted_for_ = msg.candidate;
+    s_.voted_for = msg.candidate;
     ResetElectionDeadline();
   }
   auto resp = std::make_shared<RequestVoteResp>();
-  resp->term = term_;
+  resp->term = s_.term;
   resp->granted = granted;
   SendEnvelope(envelope.src, resp);
 }
 
 void Server::HandleRequestVoteResp(const net::Envelope& envelope, const RequestVoteResp& msg) {
-  if (msg.term > term_) {
+  if (msg.term > s_.term) {
     BecomeFollower(msg.term, net::kInvalidNode);
     return;
   }
-  if (role_ != Role::kCandidate || msg.term != term_ || !msg.granted) {
+  if (s_.role != Role::kCandidate || msg.term != s_.term || !msg.granted) {
     return;
   }
-  votes_.insert(envelope.src);
-  if (votes_.size() >= Majority()) {
+  s_.votes.insert(envelope.src);
+  if (s_.votes.size() >= Majority()) {
     BecomeLeader();
   }
 }
@@ -292,15 +293,15 @@ void Server::HandleRequestVoteResp(const net::Envelope& envelope, const RequestV
 void Server::HandleAppendEntries(const net::Envelope& envelope, const AppendEntriesReq& msg) {
   auto respond = [this, &envelope](bool success, uint64_t match) {
     auto resp = std::make_shared<AppendEntriesResp>();
-    resp->term = term_;
+    resp->term = s_.term;
     resp->success = success;
     resp->match_index = match;
     SendEnvelope(envelope.src, resp);
   };
-  if (removed_) {
+  if (s_.removed) {
     return;  // retired replicas no longer replicate
   }
-  if (msg.term < term_) {
+  if (msg.term < s_.term) {
     respond(false, 0);
     return;
   }
@@ -321,20 +322,20 @@ void Server::HandleAppendEntries(const net::Envelope& envelope, const AppendEntr
         continue;  // already have it
       }
       // Conflict: truncate our divergent suffix.
-      log_.resize(entry.index - 1);
+      s_.log.resize(entry.index - 1);
     }
-    log_.push_back(entry);
+    s_.log.push_back(entry);
     if (entry.command.kind == CommandKind::kConfig) {
       ApplyConfig(entry.command);
-      if (log_.empty() || removed_) {
+      if (s_.log.empty() || s_.removed) {
         // We were just removed (wiped or retired); drop out of this batch.
         return;
       }
     }
   }
   const uint64_t match = msg.prev_log_index + msg.entries.size();
-  if (msg.leader_commit > commit_index_) {
-    commit_index_ = std::min(msg.leader_commit, LastLogIndex());
+  if (msg.leader_commit > s_.commit_index) {
+    s_.commit_index = std::min(msg.leader_commit, LastLogIndex());
     ApplyCommitted();
   }
   respond(true, match);
@@ -342,42 +343,42 @@ void Server::HandleAppendEntries(const net::Envelope& envelope, const AppendEntr
 
 void Server::HandleAppendEntriesResp(const net::Envelope& envelope,
                                      const AppendEntriesResp& msg) {
-  if (msg.term > term_) {
+  if (msg.term > s_.term) {
     BecomeFollower(msg.term, net::kInvalidNode);
     return;
   }
-  if (role_ != Role::kLeader || msg.term != term_) {
+  if (s_.role != Role::kLeader || msg.term != s_.term) {
     return;
   }
   const net::NodeId peer = envelope.src;
   if (msg.success) {
-    match_index_[peer] = std::max(match_index_[peer], msg.match_index);
-    next_index_[peer] = match_index_[peer] + 1;
+    s_.match_index[peer] = std::max(s_.match_index[peer], msg.match_index);
+    s_.next_index[peer] = s_.match_index[peer] + 1;
     AdvanceCommitIndex();
   } else {
-    if (next_index_[peer] > 1) {
-      --next_index_[peer];
+    if (s_.next_index[peer] > 1) {
+      --s_.next_index[peer];
     }
     SendAppendEntries(peer);
   }
 }
 
 void Server::HandleClientCommand(const net::Envelope& envelope, const ClientCommand& msg) {
-  if (role_ != Role::kLeader || removed_) {
+  if (s_.role != Role::kLeader || s_.removed) {
     auto resp = std::make_shared<ClientResponse>();
     resp->request_id = msg.request_id;
     resp->ok = false;
     resp->not_leader = true;
-    resp->leader_hint = leader_id_ == id() ? net::kInvalidNode : leader_id_;
+    resp->leader_hint = s_.leader_id == id() ? net::kInvalidNode : s_.leader_id;
     SendEnvelope(envelope.src, resp);
     return;
   }
   LogEntry entry;
-  entry.term = term_;
+  entry.term = s_.term;
   entry.index = LastLogIndex() + 1;
   entry.command = msg.command;
-  log_.push_back(entry);
-  pending_[entry.index] = PendingClient{envelope.src, msg.request_id};
+  s_.log.push_back(entry);
+  s_.pending[entry.index] = PendingClient{envelope.src, msg.request_id};
   if (entry.command.kind == CommandKind::kConfig) {
     ApplyConfig(entry.command);
   }
@@ -402,49 +403,11 @@ void Server::OnMessage(const net::Envelope& envelope) {
   } else if (auto* notice = dynamic_cast<const RemoveNotice*>(&msg)) {
     const bool excluded = std::find(notice->members.begin(), notice->members.end(), id()) ==
                           notice->members.end();
-    if (!removed_ && excluded) {
-      members_ = notice->members;
+    if (!s_.removed && excluded) {
+      s_.members = notice->members;
       HandleRemoval();
     }
   }
-}
-
-Server::State Server::CaptureState() const {
-  State state;
-  state.members = members_;
-  state.role = role_;
-  state.term = term_;
-  state.voted_for = voted_for_;
-  state.leader_id = leader_id_;
-  state.log = log_;
-  state.commit_index = commit_index_;
-  state.last_applied = last_applied_;
-  state.election_deadline = election_deadline_;
-  state.removed = removed_;
-  state.votes = votes_;
-  state.next_index = next_index_;
-  state.match_index = match_index_;
-  state.store = store_;
-  state.pending = pending_;
-  return state;
-}
-
-void Server::RestoreState(const State& state) {
-  members_ = state.members;
-  role_ = state.role;
-  term_ = state.term;
-  voted_for_ = state.voted_for;
-  leader_id_ = state.leader_id;
-  log_ = state.log;
-  commit_index_ = state.commit_index;
-  last_applied_ = state.last_applied;
-  election_deadline_ = state.election_deadline;
-  removed_ = state.removed;
-  votes_ = state.votes;
-  next_index_ = state.next_index;
-  match_index_ = state.match_index;
-  store_ = state.store;
-  pending_ = state.pending;
 }
 
 }  // namespace raftkv

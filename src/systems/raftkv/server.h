@@ -30,19 +30,42 @@ class Server : public cluster::Process {
          const Options& options, std::vector<net::NodeId> initial_members);
 
   // --- introspection ---
-  Role role() const { return role_; }
-  bool is_leader() const { return role_ == Role::kLeader; }
-  uint64_t term() const { return term_; }
-  uint64_t commit_index() const { return commit_index_; }
-  size_t log_size() const { return log_.size(); }
-  const std::vector<net::NodeId>& members() const { return members_; }
-  bool removed() const { return removed_; }
+  Role role() const { return s_.role; }
+  bool is_leader() const { return s_.role == Role::kLeader; }
+  uint64_t term() const { return s_.term; }
+  uint64_t commit_index() const { return s_.commit_index; }
+  size_t log_size() const { return s_.log.size(); }
+  const std::vector<net::NodeId>& members() const { return s_.members; }
+  bool removed() const { return s_.removed; }
   std::optional<std::string> StoreGet(const std::string& key) const;
 
+  // Client responses awaiting commit, by log index.
+  struct PendingClient {
+    net::NodeId client = net::kInvalidNode;
+    uint64_t request_id = 0;
+  };
+
   // --- snapshot / restore (NEAT fork executor) ---
-  struct State;
-  State CaptureState() const;
-  void RestoreState(const State& state);
+  // Every mutable field lives in State, so a snapshot is a copy of s_.
+  struct State {
+    std::vector<net::NodeId> members;  // current configuration
+    Role role = Role::kFollower;
+    uint64_t term = 0;
+    net::NodeId voted_for = net::kInvalidNode;
+    net::NodeId leader_id = net::kInvalidNode;
+    std::vector<LogEntry> log;  // log[i] has index i+1
+    uint64_t commit_index = 0;
+    uint64_t last_applied = 0;
+    sim::Time election_deadline = 0;
+    bool removed = false;  // retired after a config change (correct behaviour)
+    std::set<net::NodeId> votes;
+    std::map<net::NodeId, uint64_t> next_index;
+    std::map<net::NodeId, uint64_t> match_index;
+    std::map<std::string, std::string> store;
+    std::map<uint64_t, PendingClient> pending;
+  };
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
 
  protected:
   void OnStart() override;
@@ -67,58 +90,17 @@ class Server : public cluster::Process {
   void HandleAppendEntriesResp(const net::Envelope& envelope, const AppendEntriesResp& msg);
   void HandleClientCommand(const net::Envelope& envelope, const ClientCommand& msg);
 
-  uint64_t LastLogIndex() const { return log_.empty() ? 0 : log_.back().index; }
-  uint64_t LastLogTerm() const { return log_.empty() ? 0 : log_.back().term; }
+  uint64_t LastLogIndex() const { return s_.log.empty() ? 0 : s_.log.back().index; }
+  uint64_t LastLogTerm() const { return s_.log.empty() ? 0 : s_.log.back().term; }
   const LogEntry* EntryAt(uint64_t index) const;  // 1-based; null if absent
-  size_t Majority() const { return members_.size() / 2 + 1; }
+  size_t Majority() const { return s_.members.size() / 2 + 1; }
   bool IsMember(net::NodeId node) const;
   void FailPending(const std::string& reason);
 
-  // detlint: allow(snapshot-field): configuration fixed at construction
-  Options options_;
-  // detlint: allow(snapshot-field): bootstrap membership fixed at construction; live membership is in the replicated config
-  std::vector<net::NodeId> initial_members_;
-  std::vector<net::NodeId> members_;  // current configuration
-
-  Role role_ = Role::kFollower;
-  uint64_t term_ = 0;
-  net::NodeId voted_for_ = net::kInvalidNode;
-  net::NodeId leader_id_ = net::kInvalidNode;
-  std::vector<LogEntry> log_;  // log_[i] has index i+1
-  uint64_t commit_index_ = 0;
-  uint64_t last_applied_ = 0;
-  sim::Time election_deadline_ = 0;
-  bool removed_ = false;  // retired after a config change (correct behaviour)
-
-  std::set<net::NodeId> votes_;
-  std::map<net::NodeId, uint64_t> next_index_;
-  std::map<net::NodeId, uint64_t> match_index_;
-
-  std::map<std::string, std::string> store_;
-  // Client responses awaiting commit, by log index.
-  struct PendingClient {
-    net::NodeId client = net::kInvalidNode;
-    uint64_t request_id = 0;
-  };
-  std::map<uint64_t, PendingClient> pending_;
-};
-
-struct Server::State {
-  std::vector<net::NodeId> members;
-  Role role = Role::kFollower;
-  uint64_t term = 0;
-  net::NodeId voted_for = net::kInvalidNode;
-  net::NodeId leader_id = net::kInvalidNode;
-  std::vector<LogEntry> log;
-  uint64_t commit_index = 0;
-  uint64_t last_applied = 0;
-  sim::Time election_deadline = 0;
-  bool removed = false;
-  std::set<net::NodeId> votes;
-  std::map<net::NodeId, uint64_t> next_index;
-  std::map<net::NodeId, uint64_t> match_index;
-  std::map<std::string, std::string> store;
-  std::map<uint64_t, PendingClient> pending;
+  const Options options_;
+  // Bootstrap membership; the live membership is s_.members.
+  const std::vector<net::NodeId> initial_members_;
+  State s_;
 };
 
 }  // namespace raftkv

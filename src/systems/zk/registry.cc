@@ -13,13 +13,13 @@ void Registry::OnStart() {
 }
 
 std::string Registry::Data(const std::string& path) const {
-  auto it = entries_.find(path);
-  return it == entries_.end() ? "" : it->second.data;
+  auto it = s_.entries.find(path);
+  return it == s_.entries.end() ? "" : it->second.data;
 }
 
 void Registry::Tick() {
   std::vector<net::NodeId> expired;
-  for (const auto& [session, last_heard] : sessions_) {
+  for (const auto& [session, last_heard] : s_.sessions) {
     if (Now() - last_heard > options_.session_timeout) {
       expired.push_back(session);
     }
@@ -29,30 +29,30 @@ void Registry::Tick() {
   }
 }
 
-void Registry::Touch(net::NodeId session) { sessions_[session] = Now(); }
+void Registry::Touch(net::NodeId session) { s_.sessions[session] = Now(); }
 
 void Registry::ExpireSession(net::NodeId session) {
   TraceEvent("session-expired", "session=" + std::to_string(session));
-  sessions_.erase(session);
+  s_.sessions.erase(session);
   std::vector<std::string> doomed;
-  for (const auto& [path, entry] : entries_) {
+  for (const auto& [path, entry] : s_.entries) {
     if (entry.ephemeral && entry.owner == session) {
       doomed.push_back(path);
     }
   }
   for (const std::string& path : doomed) {
-    entries_.erase(path);
+    s_.entries.erase(path);
     FireWatches(path, /*deleted=*/true);
   }
 }
 
 void Registry::FireWatches(const std::string& path, bool deleted) {
-  auto it = watches_.find(path);
-  if (it == watches_.end()) {
+  auto it = s_.watches.find(path);
+  if (it == s_.watches.end()) {
     return;
   }
   const std::set<net::NodeId> watchers = std::move(it->second);
-  watches_.erase(it);  // one-shot, as in ZooKeeper
+  s_.watches.erase(it);  // one-shot, as in ZooKeeper
   for (net::NodeId watcher : watchers) {
     auto event = std::make_shared<ZkEvent>();
     event->path = path;
@@ -69,9 +69,9 @@ void Registry::OnMessage(const net::Envelope& envelope) {
     return;
   }
   if (auto* create = dynamic_cast<const ZkCreate*>(&msg)) {
-    const bool ok = entries_.count(create->path) == 0;
+    const bool ok = s_.entries.count(create->path) == 0;
     if (ok) {
-      entries_[create->path] = Entry{create->data, create->ephemeral, envelope.src};
+      s_.entries[create->path] = Entry{create->data, create->ephemeral, envelope.src};
       FireWatches(create->path, /*deleted=*/false);
       TraceEvent("create", create->path + "=" + create->data);
     }
@@ -84,36 +84,22 @@ void Registry::OnMessage(const net::Envelope& envelope) {
   if (auto* get = dynamic_cast<const ZkGet*>(&msg)) {
     auto reply = std::make_shared<ZkGetReply>();
     reply->request_id = get->request_id;
-    auto it = entries_.find(get->path);
-    reply->exists = it != entries_.end();
+    auto it = s_.entries.find(get->path);
+    reply->exists = it != s_.entries.end();
     reply->data = reply->exists ? it->second.data : "";
     SendEnvelope(envelope.src, reply);
     return;
   }
   if (auto* del = dynamic_cast<const ZkDelete*>(&msg)) {
-    if (entries_.erase(del->path) != 0) {
+    if (s_.entries.erase(del->path) != 0) {
       FireWatches(del->path, /*deleted=*/true);
     }
     return;
   }
   if (auto* watch = dynamic_cast<const ZkWatch*>(&msg)) {
-    watches_[watch->path].insert(envelope.src);
+    s_.watches[watch->path].insert(envelope.src);
     return;
   }
-}
-
-Registry::State Registry::CaptureState() const {
-  State state;
-  state.entries = entries_;
-  state.sessions = sessions_;
-  state.watches = watches_;
-  return state;
-}
-
-void Registry::RestoreState(const State& state) {
-  entries_ = state.entries;
-  sessions_ = state.sessions;
-  watches_ = state.watches;
 }
 
 }  // namespace zksvc

@@ -29,14 +29,9 @@ class Registry : public cluster::Process {
   Registry(sim::Simulator* simulator, net::Network* network, net::NodeId id, Options options);
 
   // --- introspection ---
-  bool Exists(const std::string& path) const { return entries_.count(path) != 0; }
+  bool Exists(const std::string& path) const { return s_.entries.count(path) != 0; }
   std::string Data(const std::string& path) const;
-  size_t live_sessions() const { return sessions_.size(); }
-
-  // --- snapshot / restore (NEAT fork executor) ---
-  struct State;
-  State CaptureState() const;
-  void RestoreState(const State& state);
+  size_t live_sessions() const { return s_.sessions.size(); }
 
  protected:
   void OnStart() override;
@@ -49,22 +44,25 @@ class Registry : public cluster::Process {
     net::NodeId owner = net::kInvalidNode;
   };
 
+ public:
+  // --- snapshot / restore (NEAT fork executor) ---
+  // Every mutable field lives in State, so a snapshot is a copy of s_.
+  struct State {
+    std::map<std::string, Entry> entries;
+    std::map<net::NodeId, sim::Time> sessions;
+    std::map<std::string, std::set<net::NodeId>> watches;
+  };
+  State CaptureState() const { return s_; }
+  void RestoreState(const State& state) { s_ = state; }
+
+ private:
   void Tick();
   void Touch(net::NodeId session);
   void ExpireSession(net::NodeId session);
   void FireWatches(const std::string& path, bool deleted);
 
-  // detlint: allow(snapshot-field): configuration fixed at construction
-  Options options_;
-  std::map<std::string, Entry> entries_;
-  std::map<net::NodeId, sim::Time> sessions_;
-  std::map<std::string, std::set<net::NodeId>> watches_;
-};
-
-struct Registry::State {
-  std::map<std::string, Entry> entries;
-  std::map<net::NodeId, sim::Time> sessions;
-  std::map<std::string, std::set<net::NodeId>> watches;
+  const Options options_;
+  State s_;
 };
 
 }  // namespace zksvc

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -1178,6 +1179,41 @@ TEST(Fork, SnapshotRestoreRoundTripPreservesStateDigest) {
     const ExecutionResult rewound = runner->Finish(target.mutate);
     ExpectSameExecution(rewound, target.replay(target.mutate, 1));
   }
+}
+
+TEST(Fork, RestoringAnotherSystemsSnapshotThrows) {
+  // The snapshot type check holds in every build type, not only where
+  // asserts are compiled in: a locksvc snapshot handed to a pbkv runner or
+  // system throws before anything is rewound, and the pbkv run goes on as
+  // if the restore had never been tried.
+  TestEvent partition;
+  partition.kind = EventKind::kPartition;
+  partition.partition = PartitionKind::kComplete;
+  partition.target = IsolationTarget::kLeader;
+  TestEvent minority_write;
+  minority_write.kind = EventKind::kWrite;
+  minority_write.side = Side::kMinority;
+  const TestCase test_case = {partition, minority_write};
+
+  std::unique_ptr<CaseRunner> lock_runner = LocksvcRunnerFactory(locksvc::IgniteOptions())(1);
+  std::unique_ptr<CaseRunner> kv_runner = PbkvRunnerFactory(pbkv::VoltDbOptions())(1);
+  lock_runner->Env().simulator().SetEventRetention(true);
+  kv_runner->Env().simulator().SetEventRetention(true);
+  const std::unique_ptr<SystemState> lock_snapshot = lock_runner->Snapshot();
+  ASSERT_NE(lock_snapshot, nullptr);
+  const std::unique_ptr<SystemState> lock_system = lock_runner->System()->Snapshot();
+  ASSERT_NE(lock_system, nullptr);
+
+  const uint64_t digest = kv_runner->System()->StateDigest();
+  EXPECT_THROW(kv_runner->Restore(*lock_snapshot), std::logic_error);
+  EXPECT_THROW(kv_runner->System()->Restore(*lock_system), std::logic_error);
+  EXPECT_EQ(kv_runner->System()->StateDigest(), digest);
+
+  for (const TestEvent& event : test_case) {
+    kv_runner->ApplyEvent(event);
+  }
+  ExpectSameExecution(kv_runner->Finish(test_case),
+                      PbkvCaseExecutor(pbkv::VoltDbOptions())(test_case, 1));
 }
 
 TEST(Fork, SiblingRestoreInvalidatesDescendantSnapshots) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,54 @@ TEST_P(BackendTest, BackendsAgreeOnRandomRuleSets) {
       }
     }
   }
+}
+
+// Every ordered pair of nodes 0..5, as Allows verdicts.
+std::vector<bool> LinkMatrix(const PartitionBackend& backend) {
+  std::vector<bool> verdicts;
+  for (NodeId s = 0; s < 6; ++s) {
+    for (NodeId d = 0; d < 6; ++d) {
+      verdicts.push_back(backend.Allows(s, d));
+    }
+  }
+  return verdicts;
+}
+
+TEST_P(BackendTest, CaptureRulesRoundTripsThroughPartitionAndHeal) {
+  Partitioner partitioner(backend_.get());
+  backend_->Block({1, 2}, {3});
+  Partition standing = partitioner.Simplex({4}, {0, 5});
+  const std::vector<bool> captured_links = LinkMatrix(*backend_);
+  const size_t captured_rules = backend_->rule_count();
+  const std::unique_ptr<PartitionBackend::RulesSnapshot> snapshot = backend_->CaptureRules();
+
+  // The id a rule installed at the captured point gets.
+  const RuleId next_id = backend_->Block({0}, {1});
+  ASSERT_TRUE(backend_->Unblock(next_id));
+  Partition first = partitioner.Complete({0, 1}, {2, 3, 4});
+  partitioner.Heal(first);
+  partitioner.Heal(standing);
+  partitioner.Partial({5}, {1, 2});
+  ASSERT_NE(LinkMatrix(*backend_), captured_links);
+
+  const uint64_t epoch = backend_->epoch();
+  backend_->RestoreRules(*snapshot);
+  EXPECT_GT(backend_->epoch(), epoch);  // restores stay monotonic
+  EXPECT_EQ(LinkMatrix(*backend_), captured_links);
+  EXPECT_EQ(backend_->rule_count(), captured_rules);
+  EXPECT_EQ(backend_->Block({0}, {1}), next_id);
+}
+
+TEST_P(BackendTest, RestoreRulesRejectsAnotherBackendTypesSnapshot) {
+  auto other = MakeBackend(GetParam() == "switch" ? "firewall" : "switch");
+  other->Block({1}, {2});
+  backend_->Block({3}, {4});
+  const std::vector<bool> links = LinkMatrix(*backend_);
+  const uint64_t epoch = backend_->epoch();
+  EXPECT_THROW(backend_->RestoreRules(*other->CaptureRules()), std::logic_error);
+  EXPECT_EQ(LinkMatrix(*backend_), links);
+  EXPECT_EQ(backend_->rule_count(), 1u);
+  EXPECT_EQ(backend_->epoch(), epoch);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendTest, ::testing::Values("switch", "firewall"),
