@@ -83,5 +83,49 @@ TEST(ScenarioConformance, MqueueDoubleDequeueMatchesLegacyExecutor) {
             LegacyDigest(scn, neat::MqueueCaseExecutor(mqueue::CorrectOptions())));
 }
 
+// Absolute digests of the paper-pruned len <= 3 sweep at seed 1, per system
+// and variant, through the per-system executors. Every other byte-identity
+// test compares two paths that share the runner; these constants pin the
+// runner itself, so a behaviour change on both sides still fails here.
+struct GoldenSweep {
+  const char* file;  // the .scn whose alphabet the sweep uses
+  neat::CaseExecutor flawed;
+  neat::CaseExecutor correct;
+  const char* flawed_digest;
+  const char* correct_digest;
+};
+
+std::string PinnedSweepDigest(const Scenario& scn, const neat::CaseExecutor& executor) {
+  neat::CampaignOptions options;
+  options.threads = 1;
+  options.seeds = 1;
+  const neat::CampaignResult result =
+      neat::RunCampaign(ScenarioGenerator(scn), /*max_length=*/3, neat::PaperPruning(), executor,
+                        options);
+  return CampaignDigest(result);
+}
+
+TEST(Golden, PaperSuiteCampaignDigestsArePinned) {
+  const GoldenSweep sweeps[] = {
+      {"pbkv_paper_suite.scn", neat::PbkvCaseExecutor(pbkv::VoltDbOptions()),
+       neat::PbkvCaseExecutor(pbkv::CorrectOptions()),
+       "e85d64c1d2b50659", "7948cf24fa99f5c6"},
+      {"raftkv_membership_5289.scn", neat::RaftKvCaseExecutor(raftkv::RethinkDbOptions()),
+       neat::RaftKvCaseExecutor(raftkv::CorrectOptions()),
+       "787933708e883514", "9f7964cedff3ef92"},
+      {"locksvc_double_locking.scn", neat::LocksvcCaseExecutor(locksvc::IgniteOptions()),
+       neat::LocksvcCaseExecutor(locksvc::CorrectOptions()),
+       "1c41c6b68fc42781", "f057877d179ab3ad"},
+      {"mqueue_double_dequeue.scn", neat::MqueueCaseExecutor(mqueue::ActiveMqOptions()),
+       neat::MqueueCaseExecutor(mqueue::CorrectOptions()),
+       "80cf5e780dbdac63", "ef1c82bce96f6c8f"},
+  };
+  for (const GoldenSweep& sweep : sweeps) {
+    const Scenario scn = Load(sweep.file);
+    EXPECT_EQ(PinnedSweepDigest(scn, sweep.flawed), sweep.flawed_digest) << sweep.file;
+    EXPECT_EQ(PinnedSweepDigest(scn, sweep.correct), sweep.correct_digest) << sweep.file;
+  }
+}
+
 }  // namespace
 }  // namespace scenario
