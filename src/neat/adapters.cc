@@ -1,7 +1,6 @@
 #include "neat/adapters.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "check/causal.h"
@@ -129,18 +128,6 @@ void MqueueSystem::Restore(const SystemState& state) {
 
 namespace {
 
-// Picks the node the partition isolates.
-net::NodeId PickIsolated(pbkv::Cluster& cluster, IsolationTarget target) {
-  if (target == IsolationTarget::kLeader) {
-    const net::NodeId primary = cluster.FindPrimary();
-    if (primary != net::kInvalidNode) {
-      return primary;
-    }
-  }
-  // "Any replica": a fixed non-initial-leader replica keeps runs comparable.
-  return cluster.server_ids().back();
-}
-
 const char* PartitionKindName(PartitionKind kind) {
   switch (kind) {
     case PartitionKind::kComplete:
@@ -153,7 +140,7 @@ const char* PartitionKindName(PartitionKind kind) {
   return "?";
 }
 
-// The partition/heal machinery every executor shares: builds the requested
+// The partition/heal machinery every runner shares: builds the requested
 // partition shape around an isolated node (or between explicit groups) and
 // tears it down, keeping track of the currently installed partition so
 // re-partition and final heal are uniform across systems. Each install and
@@ -232,9 +219,11 @@ class PartitionScript {
 // the whole trace at Finish.
 class StateObserver {
  public:
-  StateObserver(ISystem& system, const sim::TraceLog& trace) : system_(system), trace_(trace) {
-    s_.last = system.StateDigest();
-  }
+  StateObserver(ISystem& system, const sim::TraceLog& trace) : system_(system), trace_(trace) {}
+
+  // Samples the digest later transitions are measured from. Each driver
+  // calls it at a fixed point of its setup, once the cluster has booted.
+  void Start() { s_.last = system_.StateDigest(); }
 
   void Observe() {
     const uint64_t digest = system_.StateDigest();
@@ -276,169 +265,239 @@ class StateObserver {
   State s_;
 };
 
-// --- per-system case runners ---
-//
-// Each runner is the corresponding Run*TestCase executor cut at its event
-// loop: the constructor is everything before the loop (build, settle,
-// client config), ApplyEvent is one loop iteration, Finish is everything
-// after. The Run*TestCase wrappers below drive a fresh runner straight
-// through, so their behaviour is unchanged; the fork executor drives the
-// same runner with snapshots in between.
-//
-// A runner's snapshot is one value: the system's snapshot, the script's and
-// the observer's State, and the runner's own per-step State. Each runner's
-// State is a distinct type, so restoring another runner's snapshot throws.
+void Append(std::vector<check::Violation>* violations, std::vector<check::Violation> more) {
+  violations->insert(violations->end(), more.begin(), more.end());
+}
 
-template <typename Step>
-struct RunnerSnapshot {
-  std::unique_ptr<SystemState> system;
-  PartitionScript::State script;
-  StateObserver::State observer;
-  Step step;
+// --- the shared case runner ---
+//
+// SystemRunner<Driver> is the one CaseRunner for every model system. It
+// owns the system, the partition script, the coverage observer and the
+// driver's per-run Step, and implements the snapshot and the verdict tail
+// once. A driver supplies the rest:
+//
+//   using System          the ISystem adapter the runner owns
+//   struct Step           per-run fields the events advance
+//   Config(seed)          the adapter's cluster config
+//   Universe(cluster)     the nodes the partition script cuts between
+//   Setup(run)            everything before the first event, in order,
+//                         including when the observer starts
+//   ApplyEvent(run, ev)   one test event
+//   Check(run)            heal, settle, final reads, the system's checkers
+//
+// The runner holds its driver const, so every per-run field lives in Step,
+// which the snapshot carries: forked runs cannot miss driver state.
+
+// The live parts of a run a driver's hooks act on.
+template <typename Cluster, typename Step>
+struct Live {
+  Cluster& cluster;
+  PartitionScript& script;
+  StateObserver& observer;
+  Step& s;
 };
 
-template <typename Step>
-std::unique_ptr<SystemState> SnapshotRunner(const ISystem& system, const PartitionScript& script,
-                                            const StateObserver& observer, const Step& step) {
-  std::unique_ptr<SystemState> system_state = system.Snapshot();
-  if (system_state == nullptr) {
-    return nullptr;
-  }
-  return sim::MakeValueSnapshot<SystemState>(RunnerSnapshot<Step>{
-      std::move(system_state), script.CaptureState(), observer.CaptureState(), step});
-}
-
-template <typename Step>
-void RestoreRunner(const SystemState& state, ISystem& system, PartitionScript& script,
-                   StateObserver& observer, Step& step) {
-  const auto& snapshot = sim::SnapshotValue<RunnerSnapshot<Step>>(state);
-  system.Restore(*snapshot.system);
-  script.RestoreState(snapshot.script);
-  observer.RestoreState(snapshot.observer);
-  step = snapshot.step;
-}
-
-class PbkvRunner : public CaseRunner {
+template <typename Driver>
+class SystemRunner final : public CaseRunner {
  public:
-  PbkvRunner(const pbkv::Options& options, uint64_t seed, bool strong)
-      : strong_(strong), system_(MakeConfig(options, seed)) {
-    pbkv::Cluster& cluster = system_.cluster();
-    cluster.Settle(sim::Milliseconds(500));
-    observer_.emplace(system_, system_.Env().simulator().Trace());
-    cluster.client(kMinorityClient).set_allow_redirect(false);
-    cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
-    cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
-    script_.emplace(cluster.env(), cluster.server_ids());
+  SystemRunner(const Driver& driver, uint64_t seed)
+      : driver_(driver),
+        system_(driver_.Config(seed)),
+        script_(system_.Env(), driver_.Universe(system_.cluster())),
+        observer_(system_, system_.Env().simulator().Trace()) {
+    driver_.Setup(Parts());
   }
 
   TestEnv& Env() override { return system_.Env(); }
   ISystem* System() override { return &system_; }
 
   void ApplyEvent(const TestEvent& event) override {
-    pbkv::Cluster& cluster = system_.cluster();
-    switch (event.kind) {
-      case EventKind::kPartition:
-        script_->Partition(event.partition, PickIsolated(cluster, event.target));
-        s_.slept_for_election = false;
-        break;
-      case EventKind::kHeal:
-        script_->Heal();
-        break;
-      case EventKind::kWrite:
-        cluster.Put(ClientFor(event.side), key_, "v" + std::to_string(++s_.value_counter));
-        break;
-      case EventKind::kRead:
-        cluster.Get(ClientFor(event.side), key_);
-        break;
-      case EventKind::kDelete:
-        cluster.Delete(ClientFor(event.side), key_);
-        break;
-      case EventKind::kLock:
-      case EventKind::kUnlock:
-        break;  // pbkv has no locks; the locksvc executor covers those
-    }
-    observer_->Observe();
+    driver_.ApplyEvent(Parts(), event);
+    observer_.Observe();
   }
 
   ExecutionResult Finish(const TestCase& test_case) override {
-    pbkv::Cluster& cluster = system_.cluster();
     ExecutionResult result;
     result.trace = FormatTestCase(test_case);
-    if (script_->partitioned()) {
-      // The studied partitions last minutes to hours; let the system run its
-      // failure-handling (elections, step-downs) before the heal so latent
-      // damage — e.g. asynchronously replicated writes stranded on a deposed
-      // leader — manifests.
-      cluster.Settle(sim::Milliseconds(800));
-      script_->Heal();
-    }
-    cluster.Settle(sim::Seconds(1));
-    observer_->Observe();
-    cluster.client(kMajorityClient).set_contact(cluster.server_ids().front());
-    cluster.client(kMajorityClient).set_allow_redirect(true);
-    cluster.Get(kMajorityClient, key_, /*final_read=*/true);
-
-    const check::History& history = cluster.history();
-    auto add = [&result](std::vector<check::Violation> violations) {
-      result.violations.insert(result.violations.end(), violations.begin(), violations.end());
-    };
-    add(check::CheckDirtyReads(history));
-    add(check::CheckDataLoss(history));
-    add(check::CheckReappearance(history));
-    if (strong_) {
-      add(check::CheckStaleReads(history));
-    }
+    result.violations = driver_.Check(Parts());
     const sim::TraceLog& trace = system_.Env().simulator().Trace();
     if (trace.causal()) {
-      add(check::CheckCascades(trace));
+      Append(&result.violations, check::CheckCascades(trace));
     }
     result.found_failure = !result.violations.empty();
-    result.trace_report = observer_->Report();
-    result.coverage = observer_->Finish();
+    result.trace_report = observer_.Report();
+    result.coverage = observer_.Finish();
     return result;
   }
 
-  struct State {
-    bool slept_for_election = false;
-    int value_counter = 0;
-  };
   std::unique_ptr<SystemState> Snapshot() const override {
-    return SnapshotRunner(system_, *script_, *observer_, s_);
+    std::unique_ptr<SystemState> system = system_.Snapshot();
+    if (system == nullptr) {
+      return nullptr;
+    }
+    return sim::MakeValueSnapshot<SystemState>(
+        State{std::move(system), script_.CaptureState(), observer_.CaptureState(), s_});
   }
+
   void Restore(const SystemState& state) override {
-    RestoreRunner(state, system_, *script_, *observer_, s_);
+    const State& saved = sim::SnapshotValue<State>(state);
+    system_.Restore(*saved.system);
+    script_.RestoreState(saved.script);
+    observer_.RestoreState(saved.observer);
+    s_ = saved.step;
   }
 
  private:
-  static constexpr int kMinorityClient = 0;
-  static constexpr int kMajorityClient = 1;
+  using Step = typename Driver::Step;
 
-  static pbkv::Cluster::Config MakeConfig(const pbkv::Options& options, uint64_t seed) {
+  // A runner's snapshot is one value. Each driver's Step is a distinct
+  // type, so restoring another system's snapshot throws.
+  struct State {
+    std::unique_ptr<SystemState> system;
+    PartitionScript::State script;
+    StateObserver::State observer;
+    Step step;
+  };
+
+  typename Driver::Run Parts() { return {system_.cluster(), script_, observer_, s_}; }
+
+  const Driver driver_;
+  typename Driver::System system_;
+  PartitionScript script_;
+  StateObserver observer_;
+  Step s_;
+};
+
+template <typename Driver>
+RunnerFactory RunnerFactoryFor(Driver driver) {
+  return [driver = std::move(driver)](uint64_t seed) -> std::unique_ptr<CaseRunner> {
+    return std::make_unique<SystemRunner<Driver>>(driver, seed);
+  };
+}
+
+// --- per-system drivers ---
+
+constexpr int kMinorityClient = 0;
+constexpr int kMajorityClient = 1;
+
+// The end of a KV or queue case: the studied partitions last minutes to
+// hours, so let the system run its failure handling (elections, step-downs)
+// before the heal, so that latent damage — e.g. asynchronously replicated
+// writes stranded on a deposed leader — manifests. Then settle the healed
+// cluster and observe it.
+template <typename Run>
+void SettleAndHeal(const Run& run) {
+  if (run.script.partitioned()) {
+    run.cluster.Settle(sim::Milliseconds(800));
+    run.script.Heal();
+  }
+  run.cluster.Settle(sim::Seconds(1));
+  run.observer.Observe();
+}
+
+std::vector<check::Violation> KvViolations(const check::History& history) {
+  std::vector<check::Violation> violations = check::CheckDirtyReads(history);
+  Append(&violations, check::CheckDataLoss(history));
+  Append(&violations, check::CheckReappearance(history));
+  Append(&violations, check::CheckStaleReads(history));
+  return violations;
+}
+
+class PbkvDriver {
+ public:
+  using System = PbkvSystem;
+  struct Step {
+    bool slept_for_election = false;
+    int value_counter = 0;
+  };
+  using Run = Live<pbkv::Cluster, Step>;
+
+  explicit PbkvDriver(const pbkv::Options& options) : options_(options) {}
+
+  pbkv::Cluster::Config Config(uint64_t seed) const {
     pbkv::Cluster::Config config;
-    config.options = options;
+    config.options = options_;
     config.num_clients = 2;
     config.seed = seed;
     return config;
   }
 
-  int ClientFor(Side side) {
-    pbkv::Cluster& cluster = system_.cluster();
-    if (side == Side::kMinority && script_->partitioned()) {
+  net::Group Universe(const pbkv::Cluster& cluster) const { return cluster.server_ids(); }
+
+  void Setup(const Run& run) const {
+    run.cluster.Settle(sim::Milliseconds(500));
+    run.observer.Start();
+    run.cluster.client(kMinorityClient).set_allow_redirect(false);
+    run.cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
+    run.cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
+  }
+
+  void ApplyEvent(const Run& run, const TestEvent& event) const {
+    switch (event.kind) {
+      case EventKind::kPartition:
+        run.script.Partition(event.partition, PickIsolated(run.cluster, event.target));
+        run.s.slept_for_election = false;
+        break;
+      case EventKind::kHeal:
+        run.script.Heal();
+        break;
+      case EventKind::kWrite:
+        run.cluster.Put(ClientFor(run, event.side), kKey,
+                        "v" + std::to_string(++run.s.value_counter));
+        break;
+      case EventKind::kRead:
+        run.cluster.Get(ClientFor(run, event.side), kKey);
+        break;
+      case EventKind::kDelete:
+        run.cluster.Delete(ClientFor(run, event.side), kKey);
+        break;
+      case EventKind::kLock:
+      case EventKind::kUnlock:
+        break;  // pbkv has no locks; the locksvc driver covers those
+    }
+  }
+
+  std::vector<check::Violation> Check(const Run& run) const {
+    SettleAndHeal(run);
+    run.cluster.client(kMajorityClient).set_contact(run.cluster.server_ids().front());
+    run.cluster.client(kMajorityClient).set_allow_redirect(true);
+    run.cluster.Get(kMajorityClient, kKey, /*final_read=*/true);
+    return KvViolations(run.cluster.history());
+  }
+
+ private:
+  static constexpr const char* kKey = "k";
+
+  // Picks the node the partition isolates.
+  static net::NodeId PickIsolated(const pbkv::Cluster& cluster, IsolationTarget target) {
+    if (target == IsolationTarget::kLeader) {
+      const net::NodeId primary = cluster.FindPrimary();
+      if (primary != net::kInvalidNode) {
+        return primary;
+      }
+    }
+    // "Any replica": a fixed non-initial-leader replica keeps runs comparable.
+    return cluster.server_ids().back();
+  }
+
+  static int ClientFor(const Run& run, Side side) {
+    pbkv::Cluster& cluster = run.cluster;
+    if (side == Side::kMinority && run.script.partitioned()) {
       // Section 5.2: events on the old leader's side must be invoked right
       // after the partition, before it steps down — no sleep.
-      cluster.client(kMinorityClient).set_contact(script_->isolated());
+      cluster.client(kMinorityClient).set_contact(run.script.isolated());
       return kMinorityClient;
     }
-    if (script_->partitioned() && !s_.slept_for_election) {
+    if (run.script.partitioned() && !run.s.slept_for_election) {
       // ...while on the majority side, the test sleeps until a new leader
       // is elected (the NEAT tests' SLEEP_LEADER_ELECTION_PERIOD).
       cluster.Settle(sim::Milliseconds(600));
-      s_.slept_for_election = true;
+      run.s.slept_for_election = true;
     }
     net::NodeId contact = cluster.server_ids().front();
-    if (script_->partitioned()) {
+    if (run.script.partitioned()) {
       for (net::NodeId node : cluster.server_ids()) {
-        if (node != script_->isolated()) {
+        if (node != run.script.isolated()) {
           contact = node;
           break;
         }
@@ -448,137 +507,129 @@ class PbkvRunner : public CaseRunner {
     return kMajorityClient;
   }
 
-  const bool strong_;
-  PbkvSystem system_;
-  std::optional<StateObserver> observer_;
-  std::optional<PartitionScript> script_;
-  State s_;
-  const std::string key_ = "k";
+  pbkv::Options options_;
 };
 
-class LocksvcRunner : public CaseRunner {
+class LocksvcDriver {
  public:
-  LocksvcRunner(const locksvc::Options& options, uint64_t seed)
-      : system_(MakeConfig(options, seed)), isolated_(system_.cluster().server_ids().back()) {
-    locksvc::Cluster& cluster = system_.cluster();
-    cluster.Settle(sim::Milliseconds(300));
-    observer_.emplace(system_, system_.Env().simulator().Trace());
-    cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
-    cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
-    script_.emplace(cluster.env(), cluster.server_ids());
-  }
+  using System = LocksvcSystem;
+  struct Step {};  // no per-step fields; the snapshot still gets its own type
+  using Run = Live<locksvc::Cluster, Step>;
 
-  TestEnv& Env() override { return system_.Env(); }
-  ISystem* System() override { return &system_; }
+  explicit LocksvcDriver(const locksvc::Options& options) : options_(options) {}
 
-  void ApplyEvent(const TestEvent& event) override {
-    locksvc::Cluster& cluster = system_.cluster();
-    switch (event.kind) {
-      case EventKind::kPartition:
-        script_->Partition(event.partition, isolated_);
-        // Let the flawed views shrink, as the Ignite failures require.
-        cluster.Settle(sim::Milliseconds(400));
-        break;
-      case EventKind::kHeal:
-        script_->Heal();
-        break;
-      case EventKind::kLock:
-        cluster.Lock(ClientFor(event.side), lock_);
-        break;
-      case EventKind::kUnlock:
-        cluster.Unlock(ClientFor(event.side), lock_);
-        break;
-      default:
-        break;  // the lock service has no KV surface
-    }
-    observer_->Observe();
-  }
-
-  ExecutionResult Finish(const TestCase& test_case) override {
-    locksvc::Cluster& cluster = system_.cluster();
-    ExecutionResult result;
-    result.trace = FormatTestCase(test_case);
-    script_->Heal();
-    cluster.Settle(sim::Seconds(1));
-    observer_->Observe();
-    result.violations = check::CheckBrokenLocks(cluster.history());
-    const sim::TraceLog& trace = system_.Env().simulator().Trace();
-    if (trace.causal()) {
-      std::vector<check::Violation> cascades = check::CheckCascades(trace);
-      result.violations.insert(result.violations.end(), cascades.begin(), cascades.end());
-    }
-    result.found_failure = !result.violations.empty();
-    result.trace_report = observer_->Report();
-    result.coverage = observer_->Finish();
-    return result;
-  }
-
-  // No per-step fields; the empty State still gives the snapshot its own type.
-  struct State {};
-  std::unique_ptr<SystemState> Snapshot() const override {
-    return SnapshotRunner(system_, *script_, *observer_, s_);
-  }
-  void Restore(const SystemState& state) override {
-    RestoreRunner(state, system_, *script_, *observer_, s_);
-  }
-
- private:
-  static constexpr int kMinorityClient = 0;
-  static constexpr int kMajorityClient = 1;
-
-  static locksvc::Cluster::Config MakeConfig(const locksvc::Options& options, uint64_t seed) {
+  locksvc::Cluster::Config Config(uint64_t seed) const {
     locksvc::Cluster::Config config;
-    config.options = options;
+    config.options = options_;
     config.num_clients = 2;
     config.seed = seed;
     return config;
   }
 
-  int ClientFor(Side side) {
-    locksvc::Cluster& cluster = system_.cluster();
-    if (side == Side::kMinority && script_->partitioned()) {
-      cluster.client(kMinorityClient).set_contact(isolated_);
+  net::Group Universe(const locksvc::Cluster& cluster) const { return cluster.server_ids(); }
+
+  void Setup(const Run& run) const {
+    run.cluster.Settle(sim::Milliseconds(300));
+    run.observer.Start();
+    run.cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
+    run.cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
+  }
+
+  void ApplyEvent(const Run& run, const TestEvent& event) const {
+    switch (event.kind) {
+      case EventKind::kPartition:
+        run.script.Partition(event.partition, Isolated(run.cluster));
+        // Let the flawed views shrink, as the Ignite failures require.
+        run.cluster.Settle(sim::Milliseconds(400));
+        break;
+      case EventKind::kHeal:
+        run.script.Heal();
+        break;
+      case EventKind::kLock:
+        run.cluster.Lock(ClientFor(run, event.side), kLock);
+        break;
+      case EventKind::kUnlock:
+        run.cluster.Unlock(ClientFor(run, event.side), kLock);
+        break;
+      default:
+        break;  // the lock service has no KV surface
+    }
+  }
+
+  std::vector<check::Violation> Check(const Run& run) const {
+    run.script.Heal();
+    run.cluster.Settle(sim::Seconds(1));
+    run.observer.Observe();
+    return check::CheckBrokenLocks(run.cluster.history());
+  }
+
+ private:
+  static constexpr const char* kLock = "L";
+
+  // The partition victim, the same in every run.
+  static net::NodeId Isolated(const locksvc::Cluster& cluster) {
+    return cluster.server_ids().back();
+  }
+
+  static int ClientFor(const Run& run, Side side) {
+    locksvc::Cluster& cluster = run.cluster;
+    if (side == Side::kMinority && run.script.partitioned()) {
+      cluster.client(kMinorityClient).set_contact(Isolated(cluster));
       return kMinorityClient;
     }
     net::NodeId contact = cluster.server_ids().front();
-    if (script_->partitioned() && contact == isolated_) {
+    if (run.script.partitioned() && contact == Isolated(cluster)) {
       contact = cluster.server_ids()[1];
     }
     cluster.client(kMajorityClient).set_contact(contact);
     return kMajorityClient;
   }
 
-  LocksvcSystem system_;
-  const net::NodeId isolated_;  // the partition victim, the same in every fork
-  std::optional<StateObserver> observer_;
-  std::optional<PartitionScript> script_;
-  State s_;
-  const std::string lock_ = "L";
+  locksvc::Options options_;
 };
 
-class RaftKvRunner : public CaseRunner {
+class RaftKvDriver {
  public:
-  RaftKvRunner(const raftkv::Options& options, uint64_t seed)
-      : system_(MakeConfig(options, seed)), initial_leader_(system_.cluster().WaitForLeader()) {
-    raftkv::Cluster& cluster = system_.cluster();
-    observer_.emplace(system_, system_.Env().simulator().Trace());
-    cluster.client(kMinorityClient).set_allow_redirect(false);
-    cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(800));
-    cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(800));
-    cluster.client(kAdminClient).set_allow_redirect(false);
-    cluster.client(kAdminClient).set_op_timeout(sim::Milliseconds(800));
-    script_.emplace(cluster.env(), cluster.server_ids());
+  using System = RaftKvSystem;
+  struct Step {
+    net::NodeId initial_leader = net::kInvalidNode;  // elected during setup
+    // The nodes cut off by the current partition; minority-side client
+    // events contact its first member.
+    net::Group minority_side;
+    bool slept_for_election = false;
+    int value_counter = 0;
+  };
+  using Run = Live<raftkv::Cluster, Step>;
+
+  explicit RaftKvDriver(const raftkv::Options& options) : options_(options) {}
+
+  raftkv::Cluster::Config Config(uint64_t seed) const {
+    raftkv::Cluster::Config config;
+    config.options = options_;
+    config.num_servers = 5;  // the #5289 topology needs an orphaned pair
+    config.num_clients = 3;
+    config.seed = seed;
+    return config;
   }
 
-  TestEnv& Env() override { return system_.Env(); }
-  ISystem* System() override { return &system_; }
+  net::Group Universe(const raftkv::Cluster& cluster) const { return cluster.server_ids(); }
 
-  void ApplyEvent(const TestEvent& event) override {
-    raftkv::Cluster& cluster = system_.cluster();
-    const net::Group servers = cluster.server_ids();
+  void Setup(const Run& run) const {
+    run.s.initial_leader = run.cluster.WaitForLeader();
+    run.observer.Start();
+    run.cluster.client(kMinorityClient).set_allow_redirect(false);
+    run.cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(800));
+    run.cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(800));
+    run.cluster.client(kAdminClient).set_allow_redirect(false);
+    run.cluster.client(kAdminClient).set_op_timeout(sim::Milliseconds(800));
+  }
+
+  void ApplyEvent(const Run& run, const TestEvent& event) const {
+    raftkv::Cluster& cluster = run.cluster;
     switch (event.kind) {
       case EventKind::kPartition: {
-        net::NodeId leader = initial_leader_;
+        const net::Group& servers = cluster.server_ids();
+        net::NodeId leader = run.s.initial_leader;
         const std::vector<net::NodeId> leaders = cluster.Leaders();
         if (!leaders.empty()) {
           leader = leaders.front();
@@ -593,8 +644,8 @@ class RaftKvRunner : public CaseRunner {
           const net::Group others = net::Partitioner::Rest(servers, {leader});
           const net::Group keep = {leader, others[1]};
           const net::Group orphaned = {others[2], others[3]};
-          script_->PartitionGroups(PartitionKind::kPartial, orphaned, keep);
-          s_.minority_side = orphaned;
+          run.script.PartitionGroups(PartitionKind::kPartial, orphaned, keep);
+          run.s.minority_side = orphaned;
           cluster.Settle(sim::Milliseconds(100));
           cluster.client(kAdminClient).set_contact(leader);
           cluster.ChangeMembers(kAdminClient, keep);
@@ -602,112 +653,66 @@ class RaftKvRunner : public CaseRunner {
         } else {
           const net::NodeId isolated =
               event.target == IsolationTarget::kLeader ? leader : servers.back();
-          script_->Partition(event.partition, isolated);
-          s_.minority_side = {isolated};
+          run.script.Partition(event.partition, isolated);
+          run.s.minority_side = {isolated};
         }
-        s_.slept_for_election = false;
+        run.s.slept_for_election = false;
         break;
       }
       case EventKind::kHeal:
-        script_->Heal();
+        run.script.Heal();
         break;
       case EventKind::kWrite:
-        cluster.Put(ClientFor(event.side), key_, "v" + std::to_string(++s_.value_counter));
+        cluster.Put(ClientFor(run, event.side), kKey,
+                    "v" + std::to_string(++run.s.value_counter));
         break;
       case EventKind::kRead:
-        cluster.Get(ClientFor(event.side), key_);
+        cluster.Get(ClientFor(run, event.side), kKey);
         break;
       case EventKind::kDelete:
-        cluster.Delete(ClientFor(event.side), key_);
+        cluster.Delete(ClientFor(run, event.side), kKey);
         break;
       case EventKind::kLock:
       case EventKind::kUnlock:
         break;  // no lock surface
     }
-    observer_->Observe();
   }
 
-  ExecutionResult Finish(const TestCase& test_case) override {
-    raftkv::Cluster& cluster = system_.cluster();
-    ExecutionResult result;
-    result.trace = FormatTestCase(test_case);
-    if (script_->partitioned()) {
-      cluster.Settle(sim::Milliseconds(800));
-      script_->Heal();
-    }
-    cluster.Settle(sim::Seconds(1));
-    observer_->Observe();
-    cluster.client(kMajorityClient).set_contact(cluster.server_ids().front());
-    cluster.Get(kMajorityClient, key_, /*final_read=*/true);
+  std::vector<check::Violation> Check(const Run& run) const {
+    SettleAndHeal(run);
+    run.cluster.client(kMajorityClient).set_contact(run.cluster.server_ids().front());
+    run.cluster.Get(kMajorityClient, kKey, /*final_read=*/true);
 
-    const check::History& history = cluster.history();
-    auto add = [&result](std::vector<check::Violation> violations) {
-      result.violations.insert(result.violations.end(), violations.begin(), violations.end());
-    };
-    add(check::CheckDirtyReads(history));
-    add(check::CheckDataLoss(history));
-    add(check::CheckReappearance(history));
-    add(check::CheckStaleReads(history));  // raftkv promises strong consistency
+    const check::History& history = run.cluster.history();
+    std::vector<check::Violation> violations = KvViolations(history);
     const check::LinearizabilityResult linearizable = check::CheckLinearizable(history);
     if (!linearizable.linearizable) {
       check::Violation violation;
       violation.impact = "non-linearizable";
       violation.description = linearizable.reason;
-      result.violations.push_back(std::move(violation));
+      violations.push_back(std::move(violation));
     }
-    const sim::TraceLog& trace = system_.Env().simulator().Trace();
-    if (trace.causal()) {
-      add(check::CheckCascades(trace));
-    }
-    result.found_failure = !result.violations.empty();
-    result.trace_report = observer_->Report();
-    result.coverage = observer_->Finish();
-    return result;
-  }
-
-  struct State {
-    // The nodes cut off by the current partition; minority-side client
-    // events contact its first member.
-    net::Group minority_side;
-    bool slept_for_election = false;
-    int value_counter = 0;
-  };
-  std::unique_ptr<SystemState> Snapshot() const override {
-    return SnapshotRunner(system_, *script_, *observer_, s_);
-  }
-  void Restore(const SystemState& state) override {
-    RestoreRunner(state, system_, *script_, *observer_, s_);
+    return violations;
   }
 
  private:
-  static constexpr int kMinorityClient = 0;
-  static constexpr int kMajorityClient = 1;
   static constexpr int kAdminClient = 2;
+  static constexpr const char* kKey = "k";
 
-  static raftkv::Cluster::Config MakeConfig(const raftkv::Options& options, uint64_t seed) {
-    raftkv::Cluster::Config config;
-    config.options = options;
-    config.num_servers = 5;  // the #5289 topology needs an orphaned pair
-    config.num_clients = 3;
-    config.seed = seed;
-    return config;
-  }
-
-  int ClientFor(Side side) {
-    raftkv::Cluster& cluster = system_.cluster();
-    if (side == Side::kMinority && script_->partitioned() && !s_.minority_side.empty()) {
-      cluster.client(kMinorityClient).set_contact(s_.minority_side.front());
+  static int ClientFor(const Run& run, Side side) {
+    raftkv::Cluster& cluster = run.cluster;
+    const net::Group& minority = run.s.minority_side;
+    if (side == Side::kMinority && run.script.partitioned() && !minority.empty()) {
+      cluster.client(kMinorityClient).set_contact(minority.front());
       return kMinorityClient;
     }
-    if (script_->partitioned() && !s_.slept_for_election) {
+    if (run.script.partitioned() && !run.s.slept_for_election) {
       cluster.Settle(sim::Milliseconds(700));
-      s_.slept_for_election = true;
+      run.s.slept_for_election = true;
     }
-    net::NodeId contact = initial_leader_;
-    const std::vector<net::NodeId> leaders = cluster.Leaders();
-    for (const net::NodeId leader : leaders) {
-      if (std::find(s_.minority_side.begin(), s_.minority_side.end(), leader) ==
-          s_.minority_side.end()) {
+    net::NodeId contact = run.s.initial_leader;
+    for (const net::NodeId leader : cluster.Leaders()) {
+      if (std::find(minority.begin(), minority.end(), leader) == minority.end()) {
         contact = leader;
         break;
       }
@@ -716,42 +721,52 @@ class RaftKvRunner : public CaseRunner {
     return kMajorityClient;
   }
 
-  RaftKvSystem system_;
-  const net::NodeId initial_leader_;  // elected during set-up
-  std::optional<StateObserver> observer_;
-  std::optional<PartitionScript> script_;
-  State s_;
-  const std::string key_ = "k";
+  raftkv::Options options_;
 };
 
-class MqueueRunner : public CaseRunner {
+class MqueueDriver {
  public:
-  MqueueRunner(const mqueue::Options& options, uint64_t seed)
-      : system_(MakeConfig(options, seed)) {
-    mqueue::Cluster& cluster = system_.cluster();
-    cluster.Settle(sim::Milliseconds(500));  // first master election via the registry
-    observer_.emplace(system_, system_.Env().simulator().Trace());
-    cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
-    cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
+  using System = MqueueSystem;
+  struct Step {
+    bool slept_for_takeover = false;
+    int value_counter = 0;
+  };
+  using Run = Live<mqueue::Cluster, Step>;
+
+  explicit MqueueDriver(const mqueue::Options& options) : options_(options) {}
+
+  mqueue::Cluster::Config Config(uint64_t seed) const {
+    mqueue::Cluster::Config config;
+    config.options = options_;
+    config.num_clients = 2;
+    config.seed = seed;
+    return config;
+  }
+
+  // The partition universe includes the coordination service, which always
+  // rides the majority side: an isolated master's session expires there
+  // and the survivors elect a replacement (Figure 6).
+  net::Group Universe(const mqueue::Cluster& cluster) const {
+    net::Group universe = cluster.broker_ids();
+    universe.push_back(cluster.zk_id());
+    return universe;
+  }
+
+  void Setup(const Run& run) const {
+    run.cluster.Settle(sim::Milliseconds(500));  // first master election via the registry
+    run.observer.Start();
+    run.cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
+    run.cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
     // One fully replicated message before any fault: partition-first pruning
     // leaves no room for a pre-partition enqueue inside the case, but the
     // double-dequeue flaw needs a message both sides of the cut believe they
     // hold.
-    cluster.Send(kMajorityClient, queue_, "m0");
-    cluster.Settle(sim::Milliseconds(300));
-    // The partition universe includes the coordination service, which always
-    // rides the majority side: an isolated master's session expires there
-    // and the survivors elect a replacement (Figure 6).
-    net::Group universe = cluster.broker_ids();
-    universe.push_back(cluster.zk_id());
-    script_.emplace(cluster.env(), universe);
+    run.cluster.Send(kMajorityClient, kQueue, "m0");
+    run.cluster.Settle(sim::Milliseconds(300));
   }
 
-  TestEnv& Env() override { return system_.Env(); }
-  ISystem* System() override { return &system_; }
-
-  void ApplyEvent(const TestEvent& event) override {
-    mqueue::Cluster& cluster = system_.cluster();
+  void ApplyEvent(const Run& run, const TestEvent& event) const {
+    mqueue::Cluster& cluster = run.cluster;
     switch (event.kind) {
       case EventKind::kPartition: {
         net::NodeId isolated = cluster.MasterPerRegistry();
@@ -763,35 +778,28 @@ class MqueueRunner : public CaseRunner {
             }
           }
         }
-        script_->Partition(event.partition, isolated);
-        s_.slept_for_takeover = false;
+        run.script.Partition(event.partition, isolated);
+        run.s.slept_for_takeover = false;
         break;
       }
       case EventKind::kHeal:
-        script_->Heal();
+        run.script.Heal();
         break;
       case EventKind::kWrite:
-        cluster.Send(ClientFor(event.side), queue_, "m" + std::to_string(++s_.value_counter));
+        cluster.Send(ClientFor(run, event.side), kQueue,
+                     "m" + std::to_string(++run.s.value_counter));
         break;
       case EventKind::kRead:
-        cluster.Receive(ClientFor(event.side), queue_);
+        cluster.Receive(ClientFor(run, event.side), kQueue);
         break;
       default:
         break;  // no KV/lock surface
     }
-    observer_->Observe();
   }
 
-  ExecutionResult Finish(const TestCase& test_case) override {
-    mqueue::Cluster& cluster = system_.cluster();
-    ExecutionResult result;
-    result.trace = FormatTestCase(test_case);
-    if (script_->partitioned()) {
-      cluster.Settle(sim::Milliseconds(800));
-      script_->Heal();
-    }
-    cluster.Settle(sim::Seconds(1));
-    observer_->Observe();
+  std::vector<check::Violation> Check(const Run& run) const {
+    mqueue::Cluster& cluster = run.cluster;
+    SettleAndHeal(run);
 
     // Drain the healed cluster's queue so the lost-message checker sees the
     // final state; drained values also complete the double-dequeue pattern.
@@ -802,67 +810,38 @@ class MqueueRunner : public CaseRunner {
     cluster.client(kMajorityClient).set_contact(master);
     for (int i = 0; i < 8; ++i) {
       const check::Operation drained =
-          cluster.Receive(kMajorityClient, queue_, /*final_drain=*/true);
+          cluster.Receive(kMajorityClient, kQueue, /*final_drain=*/true);
       if (drained.status != check::OpStatus::kOk || drained.value.empty()) {
         break;
       }
     }
-    observer_->Observe();
+    run.observer.Observe();
 
     const check::History& history = cluster.history();
-    auto add = [&result](std::vector<check::Violation> violations) {
-      result.violations.insert(result.violations.end(), violations.begin(), violations.end());
-    };
-    add(check::CheckDoubleDequeue(history));
-    add(check::CheckLostMessages(history));
-    const sim::TraceLog& trace = system_.Env().simulator().Trace();
-    if (trace.causal()) {
-      add(check::CheckCascades(trace));
-    }
-    result.found_failure = !result.violations.empty();
-    result.trace_report = observer_->Report();
-    result.coverage = observer_->Finish();
-    return result;
-  }
-
-  struct State {
-    bool slept_for_takeover = false;
-    int value_counter = 0;
-  };
-  std::unique_ptr<SystemState> Snapshot() const override {
-    return SnapshotRunner(system_, *script_, *observer_, s_);
-  }
-  void Restore(const SystemState& state) override {
-    RestoreRunner(state, system_, *script_, *observer_, s_);
+    std::vector<check::Violation> violations = check::CheckDoubleDequeue(history);
+    Append(&violations, check::CheckLostMessages(history));
+    return violations;
   }
 
  private:
-  static constexpr int kMinorityClient = 0;
-  static constexpr int kMajorityClient = 1;
+  static constexpr const char* kQueue = "q";
 
-  static mqueue::Cluster::Config MakeConfig(const mqueue::Options& options, uint64_t seed) {
-    mqueue::Cluster::Config config;
-    config.options = options;
-    config.num_clients = 2;
-    config.seed = seed;
-    return config;
-  }
-
-  int ClientFor(Side side) {
-    mqueue::Cluster& cluster = system_.cluster();
-    if (side == Side::kMinority && script_->partitioned()) {
-      cluster.client(kMinorityClient).set_contact(script_->isolated());
+  static int ClientFor(const Run& run, Side side) {
+    mqueue::Cluster& cluster = run.cluster;
+    const net::NodeId isolated = run.script.isolated();
+    if (side == Side::kMinority && run.script.partitioned()) {
+      cluster.client(kMinorityClient).set_contact(isolated);
       return kMinorityClient;
     }
-    if (script_->partitioned() && !s_.slept_for_takeover) {
+    if (run.script.partitioned() && !run.s.slept_for_takeover) {
       // Wait out the session timeout so the surviving brokers take over.
       cluster.Settle(sim::Milliseconds(800));
-      s_.slept_for_takeover = true;
+      run.s.slept_for_takeover = true;
     }
     net::NodeId contact = cluster.MasterPerRegistry();
-    if (contact == net::kInvalidNode || contact == script_->isolated()) {
+    if (contact == net::kInvalidNode || contact == isolated) {
       for (const net::NodeId broker : cluster.broker_ids()) {
-        if (broker != script_->isolated()) {
+        if (broker != isolated) {
           contact = broker;
           break;
         }
@@ -872,187 +851,41 @@ class MqueueRunner : public CaseRunner {
     return kMajorityClient;
   }
 
-  MqueueSystem system_;
-  std::optional<StateObserver> observer_;
-  std::optional<PartitionScript> script_;
-  State s_;
-  const std::string queue_ = "q";
+  mqueue::Options options_;
 };
-
-// Drives a fresh runner straight through a case — the classic full-replay
-// execution the Run*TestCase functions promise.
-template <typename Runner, typename... Args>
-ExecutionResult RunStraightThrough(const TestCase& test_case, Args&&... args) {
-  Runner runner(std::forward<Args>(args)...);
-  for (const TestEvent& event : test_case) {
-    runner.ApplyEvent(event);
-  }
-  return runner.Finish(test_case);
-}
 
 }  // namespace
 
-ExecutionResult RunPbkvTestCase(const pbkv::Options& options, const TestCase& test_case,
-                                uint64_t seed, bool strong) {
-  return RunStraightThrough<PbkvRunner>(test_case, options, seed, strong);
-}
-
-ExecutionResult RunLocksvcTestCase(const locksvc::Options& options, const TestCase& test_case,
-                                   uint64_t seed) {
-  return RunStraightThrough<LocksvcRunner>(test_case, options, seed);
-}
-
-ExecutionResult RunRaftKvTestCase(const raftkv::Options& options, const TestCase& test_case,
-                                  uint64_t seed) {
-  return RunStraightThrough<RaftKvRunner>(test_case, options, seed);
-}
-
-ExecutionResult RunMqueueTestCase(const mqueue::Options& options, const TestCase& test_case,
-                                  uint64_t seed) {
-  return RunStraightThrough<MqueueRunner>(test_case, options, seed);
-}
-
-// --- fork-executor runner factories ---
-
-RunnerFactory PbkvRunnerFactory(const pbkv::Options& options, bool strong) {
-  return [options, strong](uint64_t seed) -> std::unique_ptr<CaseRunner> {
-    return std::make_unique<PbkvRunner>(options, seed, strong);
-  };
+RunnerFactory PbkvRunnerFactory(const pbkv::Options& options) {
+  return RunnerFactoryFor(PbkvDriver(options));
 }
 
 RunnerFactory LocksvcRunnerFactory(const locksvc::Options& options) {
-  return [options](uint64_t seed) -> std::unique_ptr<CaseRunner> {
-    return std::make_unique<LocksvcRunner>(options, seed);
-  };
+  return RunnerFactoryFor(LocksvcDriver(options));
 }
 
 RunnerFactory RaftKvRunnerFactory(const raftkv::Options& options) {
-  return [options](uint64_t seed) -> std::unique_ptr<CaseRunner> {
-    return std::make_unique<RaftKvRunner>(options, seed);
-  };
+  return RunnerFactoryFor(RaftKvDriver(options));
 }
 
 RunnerFactory MqueueRunnerFactory(const mqueue::Options& options) {
-  return [options](uint64_t seed) -> std::unique_ptr<CaseRunner> {
-    return std::make_unique<MqueueRunner>(options, seed);
-  };
+  return RunnerFactoryFor(MqueueDriver(options));
 }
 
-// --- system factories ---
-
-SystemFactory MakePbkvFactory(const pbkv::Options& options) {
-  return [options](uint64_t seed) -> std::unique_ptr<ISystem> {
-    pbkv::Cluster::Config config;
-    config.options = options;
-    config.seed = seed;
-    return std::make_unique<PbkvSystem>(config);
-  };
-}
-
-SystemFactory MakeRaftKvFactory(int num_servers) {
-  return [num_servers](uint64_t seed) -> std::unique_ptr<ISystem> {
-    raftkv::Cluster::Config config;
-    config.num_servers = num_servers;
-    config.seed = seed;
-    return std::make_unique<RaftKvSystem>(config);
-  };
-}
-
-SystemFactory MakeLocksvcFactory(const locksvc::Options& options) {
-  return [options](uint64_t seed) -> std::unique_ptr<ISystem> {
-    locksvc::Cluster::Config config;
-    config.options = options;
-    config.seed = seed;
-    return std::make_unique<LocksvcSystem>(config);
-  };
-}
-
-SystemFactory MakeMqueueFactory() {
-  return [](uint64_t seed) -> std::unique_ptr<ISystem> {
-    mqueue::Cluster::Config config;
-    config.seed = seed;
-    return std::make_unique<MqueueSystem>(config);
-  };
-}
-
-SystemFactory MakeSchedFactory() {
-  return [](uint64_t seed) -> std::unique_ptr<ISystem> {
-    sched::Cluster::Config config;
-    config.seed = seed;
-    return std::make_unique<SchedSystem>(config);
-  };
-}
-
-// --- campaign executors ---
-
-CaseExecutor PbkvCaseExecutor(const pbkv::Options& options, bool strong) {
-  return [options, strong](const TestCase& test_case, uint64_t seed) {
-    return RunPbkvTestCase(options, test_case, seed, strong);
-  };
+CaseExecutor PbkvCaseExecutor(const pbkv::Options& options) {
+  return ReplayExecutor(PbkvRunnerFactory(options));
 }
 
 CaseExecutor LocksvcCaseExecutor(const locksvc::Options& options) {
-  return [options](const TestCase& test_case, uint64_t seed) {
-    return RunLocksvcTestCase(options, test_case, seed);
-  };
+  return ReplayExecutor(LocksvcRunnerFactory(options));
 }
 
 CaseExecutor RaftKvCaseExecutor(const raftkv::Options& options) {
-  return [options](const TestCase& test_case, uint64_t seed) {
-    return RunRaftKvTestCase(options, test_case, seed);
-  };
+  return ReplayExecutor(RaftKvRunnerFactory(options));
 }
 
 CaseExecutor MqueueCaseExecutor(const mqueue::Options& options) {
-  return [options](const TestCase& test_case, uint64_t seed) {
-    return RunMqueueTestCase(options, test_case, seed);
-  };
-}
-
-CaseExecutor StatusProbeExecutor(SystemFactory factory) {
-  return [factory = std::move(factory)](const TestCase& test_case, uint64_t seed) {
-    std::unique_ptr<ISystem> system = factory(seed);
-    TestEnv& env = system->Env();
-    env.Sleep(sim::Milliseconds(500));
-
-    ExecutionResult result;
-    result.trace = FormatTestCase(test_case);
-    StateObserver observer(*system, env.simulator().Trace());
-
-    PartitionScript script(env, system->Servers());
-    const net::NodeId isolated = system->Servers().back();
-    for (const TestEvent& event : test_case) {
-      switch (event.kind) {
-        case EventKind::kPartition:
-          script.Partition(event.partition, isolated);
-          env.Sleep(sim::Milliseconds(400));
-          break;
-        case EventKind::kHeal:
-          script.Heal();
-          break;
-        default:
-          break;  // no generic client surface; client events are skipped
-      }
-      observer.Observe();
-    }
-    if (script.partitioned()) {
-      env.Sleep(sim::Milliseconds(800));
-      script.Heal();
-    }
-    env.Sleep(sim::Seconds(1));
-    observer.Observe();
-    if (!system->GetStatus()) {
-      check::Violation violation;
-      violation.impact = "data unavailability";
-      violation.description =
-          system->Name() + " cannot make progress after the partition healed";
-      result.violations.push_back(std::move(violation));
-    }
-    result.found_failure = !result.violations.empty();
-    result.trace_report = observer.Report();
-    result.coverage = observer.Finish();
-    return result;
-  };
+  return ReplayExecutor(MqueueRunnerFactory(options));
 }
 
 }  // namespace neat

@@ -1,9 +1,9 @@
-// ISystem adapters for the model systems, plus the executors that run
-// generated test cases (neat/testgen.h) against them. Together these are
-// the "seven systems tested with NEAT" layer of the paper, scaled to the
-// systems this repository implements. Executors plug into the campaign
-// runner (neat/campaign.h) through the SystemFactory/CaseExecutor
-// interface, so a sweep can target any model system.
+// ISystem adapters for the model systems, plus the runner factories that
+// run generated test cases (neat/testgen.h) against them. Together these
+// are the "seven systems tested with NEAT" layer of the paper, scaled to
+// the systems this repository implements. The factories plug into the
+// campaign runner (neat/campaign.h) through ReplayExecutor or the fork
+// executor, so a sweep can target any model system.
 
 #ifndef NEAT_ADAPTERS_H_
 #define NEAT_ADAPTERS_H_
@@ -124,84 +124,53 @@ class SchedSystem : public ISystem {
   sched::Cluster cluster_;
 };
 
-// --- system factories ---
+// --- runner factories and executors ---
+//
+// A system's RunnerFactory is its one entry point: it builds a fresh,
+// fully set-up runner per seed, which the fork executor (neat/fork.h)
+// drives with snapshots between events and ReplayExecutor drives straight
+// through. Both give byte-identical results. Each factory captures only its
+// options, so the executors built on it are safe to invoke concurrently
+// from campaign workers.
+//
+// In every system, minority-side client events go through a client pinned
+// to the isolated side and majority-side events through a client pinned to
+// the survivors. After the sequence the partition is healed, the system
+// settles, final verification reads run, and the checkers scan the
+// history.
 
-// Builds a fresh, fully booted ISystem for one campaign case. Campaign
-// workers each construct their own instance, so factories must capture only
-// immutable configuration. (ExecutionResult lives in neat/campaign.h.)
-using SystemFactory = std::function<std::unique_ptr<ISystem>(uint64_t seed)>;
+// pbkv: write/read/delete events map to the KV API; judged by the dirty-
+// read, data-loss, reappearance and stale-read checkers.
+RunnerFactory PbkvRunnerFactory(const pbkv::Options& options);
 
-SystemFactory MakePbkvFactory(const pbkv::Options& options);
-SystemFactory MakeRaftKvFactory(int num_servers = 3);
-SystemFactory MakeLocksvcFactory(const locksvc::Options& options);
-SystemFactory MakeMqueueFactory();
-SystemFactory MakeSchedFactory();
+// The lock service: lock/unlock events map to the locksvc client API, and
+// the broken-locks checker judges the run.
+RunnerFactory LocksvcRunnerFactory(const locksvc::Options& options);
 
-// --- test-case executors ---
+// raftkv (RethinkDB analog): write/read/delete events map to the KV API on
+// a 5-server cluster. A partial partition reproduces the #5289 topology —
+// two replicas orphaned behind the cut, a bridge replica reaching both
+// sides, and an admin that shrinks the member set to the leader's side
+// while the partition is up (the membership change is part of the fault
+// model, not the event alphabet, mirroring how the paper's RethinkDB
+// failure needs an admin action during the partition). Judged by the KV
+// checkers plus the linearizability checker.
+RunnerFactory RaftKvRunnerFactory(const raftkv::Options& options);
 
-// Wraps the per-system runners below as campaign executors: each call
-// builds a fresh cluster from the captured options, so the returned
-// executor is safe to invoke concurrently from campaign workers.
-CaseExecutor PbkvCaseExecutor(const pbkv::Options& options, bool strong = true);
+// mqueue (ActiveMQ analog): write/read events map to send/receive. Setup
+// enqueues one fully replicated message, so a partition-first case can
+// still dequeue on both sides of the cut — the shape of the AMQ-6978
+// double dequeue. The partition universe includes the coordination service
+// on the majority side (an isolated master's session expires and the
+// survivors elect a replacement, Figure 6), and a final majority-side
+// drain empties the queue for the double-dequeue and lost-message checkers.
+RunnerFactory MqueueRunnerFactory(const mqueue::Options& options);
+
+// ReplayExecutor over the matching RunnerFactory.
+CaseExecutor PbkvCaseExecutor(const pbkv::Options& options);
 CaseExecutor LocksvcCaseExecutor(const locksvc::Options& options);
 CaseExecutor RaftKvCaseExecutor(const raftkv::Options& options);
 CaseExecutor MqueueCaseExecutor(const mqueue::Options& options);
-
-// --- fork-executor runner factories (neat/fork.h) ---
-//
-// Each factory builds the same runner the Run*TestCase executors drive,
-// exposed step by step so a ForkingExecutor can snapshot between events
-// and fork suffixes off shared prefixes. A forked run is byte-identical to
-// the corresponding Run*TestCase replay.
-RunnerFactory PbkvRunnerFactory(const pbkv::Options& options, bool strong = true);
-RunnerFactory LocksvcRunnerFactory(const locksvc::Options& options);
-RunnerFactory RaftKvRunnerFactory(const raftkv::Options& options);
-RunnerFactory MqueueRunnerFactory(const mqueue::Options& options);
-
-// A system-agnostic executor over any SystemFactory: it drives only the
-// partition/heal events of the test case (client events need a concrete
-// client API and are skipped), heals, and reports "data unavailability"
-// when the healed system cannot make progress (ISystem::GetStatus). The
-// weakest checker — it sees no operation history — but it lets a campaign
-// sweep every model system.
-CaseExecutor StatusProbeExecutor(SystemFactory factory);
-
-// Runs one abstract test case against a fresh pbkv cluster with the given
-// options. Client events on the minority side go through a client pinned to
-// the isolated node; majority-side events go through a client pinned to the
-// surviving majority. After the sequence, the partition is healed, the
-// system settles, final verification reads run, and the checkers scan the
-// history. Stale reads count as failures only under strong consistency
-// (`strong` flag), matching the paper's classification.
-ExecutionResult RunPbkvTestCase(const pbkv::Options& options, const TestCase& test_case,
-                                uint64_t seed, bool strong = true);
-
-// The same executor against the lock service: lock/unlock events map to the
-// locksvc client API, and the broken-locks checker judges the run.
-ExecutionResult RunLocksvcTestCase(const locksvc::Options& options, const TestCase& test_case,
-                                   uint64_t seed);
-
-// The raftkv executor (RethinkDB analog): write/read/delete events map to
-// the KV API on a 5-server cluster. A partial partition reproduces the
-// #5289 topology — two replicas orphaned behind the cut, a bridge replica
-// reaching both sides, and an admin that shrinks the member set to the
-// leader's side while the partition is up (the membership change is part
-// of the fault model, not the event alphabet, mirroring how the paper's
-// RethinkDB failure needs an admin action during the partition). Judged by
-// the KV checkers plus the linearizability checker.
-ExecutionResult RunRaftKvTestCase(const raftkv::Options& options, const TestCase& test_case,
-                                  uint64_t seed);
-
-// The mqueue executor (ActiveMQ analog): write/read events map to
-// send/receive. Setup enqueues one fully replicated message, so a
-// partition-first case can still dequeue on both sides of the cut — the
-// shape of the AMQ-6978 double dequeue. The partition universe includes
-// the coordination service on the majority side (an isolated master's
-// session expires and the survivors elect a replacement, Figure 6), and a
-// final majority-side drain empties the queue for the double-dequeue and
-// lost-message checkers.
-ExecutionResult RunMqueueTestCase(const mqueue::Options& options, const TestCase& test_case,
-                                  uint64_t seed);
 
 }  // namespace neat
 

@@ -32,6 +32,14 @@ bool SamePrefix(const TestCase& cached, const TestCase& incoming, size_t length)
   return std::equal(cached.begin(), cached.end(), incoming.begin());
 }
 
+// Applies every event of the case to the runner, then finishes it.
+ExecutionResult RunThrough(CaseRunner& runner, const TestCase& test_case) {
+  for (const TestEvent& event : test_case) {
+    runner.ApplyEvent(event);
+  }
+  return runner.Finish(test_case);
+}
+
 }  // namespace
 
 ForkingExecutor::ForkingExecutor(RunnerFactory factory, ForkOptions options)
@@ -122,11 +130,8 @@ ExecutionResult ForkingExecutor::Run(const TestCase& test_case, uint64_t seed) {
     // runner and discard it (Finish perturbs the state and there is no way
     // back without a snapshot).
     std::unique_ptr<CaseRunner> runner = std::move(branch.runner);
-    for (const TestEvent& event : test_case) {
-      runner->ApplyEvent(event);
-      ++stats_.events_applied;
-    }
-    return runner->Finish(test_case);
+    stats_.events_applied += test_case.size();
+    return RunThrough(*runner, test_case);
   }
 
   // Longest cached prefix of the incoming case. Walking the case's own
@@ -183,6 +188,12 @@ ExecutionResult ForkingExecutor::Run(const TestCase& test_case, uint64_t seed) {
   // the next case's Restore resumes it.
   branch.runner->Env().simulator().PauseEventRetention();
   return branch.runner->Finish(test_case);
+}
+
+CaseExecutor ReplayExecutor(RunnerFactory factory) {
+  return [factory = std::move(factory)](const TestCase& test_case, uint64_t seed) {
+    return RunThrough(*factory(seed), test_case);
+  };
 }
 
 CaseExecutor ForkingCaseExecutor(RunnerFactory factory, ForkOptions options,

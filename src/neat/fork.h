@@ -32,14 +32,15 @@
 
 namespace neat {
 
-// A live system executing one test case event by event. Splitting the
-// monolithic Run*TestCase executors into construct / ApplyEvent / Finish
-// is what gives the fork executor a place to capture state between events:
-// the constructor performs setup (build the cluster, settle, configure
-// clients), ApplyEvent applies exactly one test event, and Finish runs the
-// post-sequence phase (heal, settle, final verification reads, checkers)
-// and produces the verdict. Finish perturbs the system — callers must
-// Restore before applying further events.
+// A live system executing one test case event by event. Cutting a run into
+// construct / ApplyEvent / Finish is what gives the fork executor a place
+// to capture state between events: the constructor performs setup (build
+// the cluster, settle, configure clients), ApplyEvent applies exactly one
+// test event, and Finish runs the post-sequence phase (heal, settle, final
+// verification reads, checkers) and produces the verdict. Finish perturbs
+// the system — callers must Restore before applying further events. The
+// model systems' runners are SystemRunner instances (neat/adapters.cc);
+// ReplayExecutor and the fork executor below are the two ways to drive one.
 class CaseRunner {
  public:
   virtual ~CaseRunner() = default;
@@ -135,6 +136,11 @@ class ForkingExecutor {
   ForkStats stats_;
   uint64_t tick_ = 0;  // LRU clock: bumped per cache touch
 };
+
+// The classic full-replay executor: a fresh runner from `factory` per
+// call, driven straight through the case. Stateless across calls, so it is
+// safe to invoke concurrently from campaign workers.
+CaseExecutor ReplayExecutor(RunnerFactory factory);
 
 // Wraps a fork executor as a plain CaseExecutor (single-threaded use: the
 // returned callable owns one ForkingExecutor). `stats`, when non-null,

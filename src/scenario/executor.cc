@@ -1,9 +1,9 @@
 #include "scenario/executor.h"
 
-#include <cassert>
 #include <iomanip>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "neat/execution.h"
@@ -40,41 +40,50 @@ class Fnv {
   uint64_t hash_ = 14695981039346656037ull;
 };
 
-pbkv::Options PbkvPreset(const std::string& preset) {
-  if (preset.empty() || preset == "voltdb") return pbkv::VoltDbOptions();
-  if (preset == "elasticsearch") return pbkv::ElasticsearchOptions();
-  if (preset == "mongo-arbiter") return pbkv::MongoArbiterOptions();
-  if (preset == "mongo-conflicting-criteria") return pbkv::MongoConflictingCriteriaOptions();
-  if (preset == "async-replication") return pbkv::AsyncReplicationOptions();
-  if (preset == "coordinator-routing") return pbkv::CoordinatorRoutingOptions();
-  assert(false && "unknown pbkv preset; the parser validates presets");
-  return pbkv::VoltDbOptions();
+// The runner factory for one variant of a preset: the preset's options for
+// kFlawed, all safety knobs on for kCorrect, with the scenario's
+// causal_trace.
+template <auto Flawed, auto Correct, auto Factory>
+neat::RunnerFactory Compile(Variant variant, bool causal) {
+  auto options = variant == Variant::kCorrect ? Correct() : Flawed();
+  options.causal_trace = causal;
+  return Factory(options);
 }
 
-// The runner factory under the resolved options, before ambient faults.
-neat::RunnerFactory BaseFactory(const Scenario& scenario, Variant variant) {
-  const bool correct = variant == Variant::kCorrect;
-  if (scenario.system == "pbkv") {
-    pbkv::Options options = correct ? pbkv::CorrectOptions() : PbkvPreset(scenario.preset);
-    options.causal_trace = scenario.causal;
-    return neat::PbkvRunnerFactory(options);
+template <auto Flawed>
+neat::RunnerFactory Pbkv(Variant variant, bool causal) {
+  return Compile<Flawed, pbkv::CorrectOptions, neat::PbkvRunnerFactory>(variant, causal);
+}
+
+// The system/preset registry: one row per pair. A system's first row is
+// its default, selected by an empty preset.
+struct PresetRow {
+  const char* system;
+  const char* preset;
+  neat::RunnerFactory (*compile)(Variant variant, bool causal);
+};
+
+constexpr PresetRow kPresets[] = {
+    {"pbkv", "voltdb", Pbkv<pbkv::VoltDbOptions>},
+    {"pbkv", "elasticsearch", Pbkv<pbkv::ElasticsearchOptions>},
+    {"pbkv", "mongo-arbiter", Pbkv<pbkv::MongoArbiterOptions>},
+    {"pbkv", "mongo-conflicting-criteria", Pbkv<pbkv::MongoConflictingCriteriaOptions>},
+    {"pbkv", "async-replication", Pbkv<pbkv::AsyncReplicationOptions>},
+    {"pbkv", "coordinator-routing", Pbkv<pbkv::CoordinatorRoutingOptions>},
+    {"raftkv", "rethinkdb",
+     Compile<raftkv::RethinkDbOptions, raftkv::CorrectOptions, neat::RaftKvRunnerFactory>},
+    {"locksvc", "ignite",
+     Compile<locksvc::IgniteOptions, locksvc::CorrectOptions, neat::LocksvcRunnerFactory>},
+    {"mqueue", "activemq",
+     Compile<mqueue::ActiveMqOptions, mqueue::CorrectOptions, neat::MqueueRunnerFactory>},
+};
+
+const PresetRow* FindPreset(const std::string& system, const std::string& preset) {
+  for (const PresetRow& row : kPresets) {
+    if (system == row.system && (preset.empty() || preset == row.preset)) {
+      return &row;
+    }
   }
-  if (scenario.system == "raftkv") {
-    raftkv::Options options = correct ? raftkv::CorrectOptions() : raftkv::RethinkDbOptions();
-    options.causal_trace = scenario.causal;
-    return neat::RaftKvRunnerFactory(options);
-  }
-  if (scenario.system == "locksvc") {
-    locksvc::Options options = correct ? locksvc::CorrectOptions() : locksvc::IgniteOptions();
-    options.causal_trace = scenario.causal;
-    return neat::LocksvcRunnerFactory(options);
-  }
-  if (scenario.system == "mqueue") {
-    mqueue::Options options = correct ? mqueue::CorrectOptions() : mqueue::ActiveMqOptions();
-    options.causal_trace = scenario.causal;
-    return neat::MqueueRunnerFactory(options);
-  }
-  assert(false && "unknown system; the parser validates systems");
   return nullptr;
 }
 
@@ -298,35 +307,29 @@ const char* VariantName(Variant variant) {
   return variant == Variant::kFlawed ? "flawed" : "correct";
 }
 
-bool KnownSystem(const std::string& system) {
-  return system == "pbkv" || system == "raftkv" || system == "locksvc" || system == "mqueue";
-}
+bool KnownSystem(const std::string& system) { return FindPreset(system, "") != nullptr; }
 
 bool KnownPreset(const std::string& system, const std::string& preset) {
-  if (preset.empty()) {
-    return KnownSystem(system);
+  return FindPreset(system, preset) != nullptr;
+}
+
+std::vector<std::pair<std::string, std::string>> RegisteredPresets() {
+  std::vector<std::pair<std::string, std::string>> presets;
+  for (const PresetRow& row : kPresets) {
+    presets.emplace_back(row.system, row.preset);
   }
-  if (system == "pbkv") {
-    return preset == "voltdb" || preset == "elasticsearch" || preset == "mongo-arbiter" ||
-           preset == "mongo-conflicting-criteria" || preset == "async-replication" ||
-           preset == "coordinator-routing";
-  }
-  if (system == "raftkv") {
-    return preset == "rethinkdb";
-  }
-  if (system == "locksvc") {
-    return preset == "ignite";
-  }
-  if (system == "mqueue") {
-    return preset == "activemq";
-  }
-  return false;
+  return presets;
 }
 
 neat::RunnerFactory ScenarioRunnerFactory(const Scenario& scenario, Variant variant) {
-  neat::RunnerFactory base = BaseFactory(scenario, variant);
+  const PresetRow* row = FindPreset(scenario.system, scenario.preset);
+  if (row == nullptr) {
+    throw std::invalid_argument("unknown scenario system/preset \"" + scenario.system + "\"/\"" +
+                                scenario.preset + "\"");
+  }
+  neat::RunnerFactory base = row->compile(variant, scenario.causal);
   if (scenario.ambient_faults.empty()) {
-    return base;  // byte-identical to the legacy factory, closure and all
+    return base;  // byte-identical to the per-system factory, closure and all
   }
   // Ambient faults are part of the environment, not the system config, so
   // both variants get them. Installed before the fork executor takes its
@@ -342,14 +345,7 @@ neat::RunnerFactory ScenarioRunnerFactory(const Scenario& scenario, Variant vari
 }
 
 neat::CaseExecutor ScenarioCaseExecutor(const Scenario& scenario, Variant variant) {
-  neat::RunnerFactory factory = ScenarioRunnerFactory(scenario, variant);
-  return [factory = std::move(factory)](const neat::TestCase& test_case, uint64_t seed) {
-    std::unique_ptr<neat::CaseRunner> runner = factory(seed);
-    for (const neat::TestEvent& event : test_case) {
-      runner->ApplyEvent(event);
-    }
-    return runner->Finish(test_case);
-  };
+  return neat::ReplayExecutor(ScenarioRunnerFactory(scenario, variant));
 }
 
 neat::TestCaseGenerator ScenarioGenerator(const Scenario& scenario) {

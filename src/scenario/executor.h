@@ -4,7 +4,7 @@
 // a variant; the executor resolves that pair to the same Options preset and
 // RunnerFactory the hand-written reproductions use, so a DSL run with no
 // message-level faults is byte-identical — same verdict, same trace, same
-// coverage — to the corresponding legacy Run*TestCase / *CaseExecutor run
+// coverage — to the corresponding per-system *CaseExecutor run
 // (pinned by the conformance tests in tests/scenario_conformance_test.cc).
 // Ambient fault rules are installed on the network right after the runner
 // is built, before any step or generated case — and therefore before the
@@ -18,6 +18,7 @@
 #define SCENARIO_EXECUTOR_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "neat/adapters.h"
@@ -28,26 +29,25 @@
 namespace scenario {
 
 // The system/preset registry the parser validates against and the executor
-// compiles with. An empty preset selects the system's default reproduction:
-//   pbkv    voltdb (also: elasticsearch, mongo-arbiter,
-//           mongo-conflicting-criteria, async-replication,
-//           coordinator-routing)
-//   raftkv  rethinkdb
-//   locksvc ignite
-//   mqueue  activemq
+// compiles with (one table in executor.cc). An empty preset selects the
+// system's default reproduction, its first registered preset: pbkv voltdb,
+// raftkv rethinkdb, locksvc ignite, mqueue activemq.
 bool KnownSystem(const std::string& system);
 bool KnownPreset(const std::string& system, const std::string& preset);
+
+// Every registered (system, preset) pair, in registry order.
+std::vector<std::pair<std::string, std::string>> RegisteredPresets();
 
 // The runner factory for one variant: the per-system RunnerFactory under
 // the resolved options (preset for kFlawed, all-safety-knobs-on for
 // kCorrect, causal_trace from the scenario), wrapped to install the
 // scenario's ambient fault rules at construction time. Plugs into
-// neat::ForkingExecutor / ForkingSessions unchanged.
+// neat::ForkingExecutor / ForkingSessions unchanged. Throws
+// std::invalid_argument for an unregistered (system, preset) pair.
 neat::RunnerFactory ScenarioRunnerFactory(const Scenario& scenario, Variant variant);
 
-// A campaign-compatible executor: drives a fresh runner from
-// ScenarioRunnerFactory straight through each case. With no ambient faults
-// this is exactly the legacy full-replay execution.
+// neat::ReplayExecutor over ScenarioRunnerFactory. With no ambient faults
+// this is exactly the per-system *CaseExecutor.
 neat::CaseExecutor ScenarioCaseExecutor(const Scenario& scenario, Variant variant);
 
 // The generator and pruning rules a campaign scenario sweeps.

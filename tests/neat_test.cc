@@ -503,22 +503,24 @@ TEST(Campaign, ParallelEqualsSerialOnThePaperPrunedPbkvSuite) {
   EXPECT_GT(serial.failures, 0u) << "the VoltDB-like variant must fail the sweep";
 }
 
-TEST(Campaign, StatusProbeExecutorSweepsAnyModelSystem) {
-  // The SystemFactory interface: the same generic executor drives a
-  // partition-only campaign against systems with no bespoke executor.
+TEST(Executor, HealedCorrectSystemsMakeProgress) {
+  // The status-converges mechanism: after a partition-only case and its
+  // heal, a correct system must make progress again (ISystem::GetStatus).
   TestEvent partition;
   partition.kind = EventKind::kPartition;
   partition.partition = PartitionKind::kComplete;
   const TestCase partition_only{partition};
-  CampaignOptions options;
-  options.threads = 2;
-  for (SystemFactory factory :
-       {MakeRaftKvFactory(), MakeMqueueFactory(), MakePbkvFactory(pbkv::CorrectOptions())}) {
-    const CampaignResult result = RunCampaign(
-        std::vector<TestCase>{partition_only}, StatusProbeExecutor(factory), options);
-    ASSERT_EQ(result.cases_run, 1u);
-    // A healed correct system must make progress again.
-    EXPECT_EQ(result.failures, 0u) << result.cases[0].signature;
+  for (const RunnerFactory& factory :
+       {PbkvRunnerFactory(pbkv::CorrectOptions()), RaftKvRunnerFactory(raftkv::CorrectOptions()),
+        MqueueRunnerFactory(mqueue::CorrectOptions())}) {
+    const std::unique_ptr<CaseRunner> runner = factory(1);
+    for (const TestEvent& event : partition_only) {
+      runner->ApplyEvent(event);
+    }
+    runner->Finish(partition_only);
+    ISystem* system = runner->System();
+    ASSERT_NE(system, nullptr);
+    EXPECT_TRUE(system->GetStatus()) << system->Name();
   }
 }
 
@@ -541,7 +543,7 @@ TestCase DirtyReadCase() {
 }
 
 TEST(Executor, FindsTheDirtyReadInTheFlawedSystem) {
-  auto result = RunPbkvTestCase(pbkv::VoltDbOptions(), DirtyReadCase(), /*seed=*/1);
+  auto result = PbkvCaseExecutor(pbkv::VoltDbOptions())(DirtyReadCase(), /*seed=*/1);
   EXPECT_TRUE(result.found_failure) << result.trace;
   bool has_dirty = false;
   for (const auto& violation : result.violations) {
@@ -553,7 +555,7 @@ TEST(Executor, FindsTheDirtyReadInTheFlawedSystem) {
 }
 
 TEST(Executor, CleanOnTheCorrectedSystem) {
-  auto result = RunPbkvTestCase(pbkv::CorrectOptions(), DirtyReadCase(), /*seed=*/1);
+  auto result = PbkvCaseExecutor(pbkv::CorrectOptions())(DirtyReadCase(), /*seed=*/1);
   EXPECT_FALSE(result.found_failure) << check::FormatViolations(result.violations);
 }
 
@@ -566,10 +568,10 @@ TEST(Executor, PrunedSuiteFindsTheSeededBugs) {
   int voltdb_failures = 0;
   int correct_failures = 0;
   for (const TestCase& test_case : suite) {
-    if (RunPbkvTestCase(pbkv::VoltDbOptions(), test_case, 1).found_failure) {
+    if (PbkvCaseExecutor(pbkv::VoltDbOptions())(test_case, 1).found_failure) {
       ++voltdb_failures;
     }
-    if (RunPbkvTestCase(pbkv::CorrectOptions(), test_case, 1).found_failure) {
+    if (PbkvCaseExecutor(pbkv::CorrectOptions())(test_case, 1).found_failure) {
       ++correct_failures;
     }
   }
@@ -585,10 +587,10 @@ TEST(Executor, LocksvcSuiteExposesDoubleLocking) {
   int flawed = 0;
   int fixed = 0;
   for (const TestCase& test_case : suite) {
-    if (RunLocksvcTestCase(locksvc::IgniteOptions(), test_case, 1).found_failure) {
+    if (LocksvcCaseExecutor(locksvc::IgniteOptions())(test_case, 1).found_failure) {
       ++flawed;
     }
-    if (RunLocksvcTestCase(locksvc::CorrectOptions(), test_case, 1).found_failure) {
+    if (LocksvcCaseExecutor(locksvc::CorrectOptions())(test_case, 1).found_failure) {
       ++fixed;
     }
   }
@@ -636,7 +638,7 @@ TEST(TraceReport, MalformedDropDetailStillCounts) {
 TEST(TraceReport, ExecutorsAttachTheRunsTraceSummary) {
   // The real executors summarize the run's simulation trace into the
   // result, which the campaign reports bundle per minimized repro.
-  const auto result = RunPbkvTestCase(pbkv::VoltDbOptions(), DirtyReadCase(), /*seed=*/1);
+  const auto result = PbkvCaseExecutor(pbkv::VoltDbOptions())(DirtyReadCase(), /*seed=*/1);
   EXPECT_GT(result.trace_report.total_records, 0u);
   EXPECT_FALSE(result.trace_report.drops_per_link.empty())
       << "the partition must have dropped traffic";
@@ -764,7 +766,7 @@ TEST(Coverage, StateTransitionFeatureIsFixedWidthHex) {
 }
 
 TEST(Coverage, RealExecutorRunsReportCoverageFeatures) {
-  const auto result = RunPbkvTestCase(pbkv::VoltDbOptions(), DirtyReadCase(), /*seed=*/1);
+  const auto result = PbkvCaseExecutor(pbkv::VoltDbOptions())(DirtyReadCase(), /*seed=*/1);
   ASSERT_FALSE(result.coverage.empty());
   bool has_bigram = false;
   bool has_phase = false;

@@ -1,11 +1,11 @@
-// Byte-identity of the shipped scenario corpus against the hand-written
-// legacy executors. Each of the four ported reproductions
-// (tests/scenarios/*.scn) must produce, through the scenario DSL, exactly
-// the campaign the legacy Run*TestCase machinery produces: same verdicts,
-// same traces, same coverage, same failure signatures — pinned by
-// comparing scenario::CampaignDigest of both sweeps. This is the
-// compilation contract of docs/DESIGN.md: the DSL adds a parser in front
-// of the existing execution stack, never a different execution.
+// Byte-identity of the shipped scenario corpus against the per-system
+// executors. Each of the four ported reproductions (tests/scenarios/*.scn)
+// must produce, through the scenario DSL, exactly the campaign the
+// per-system *CaseExecutor produces: same verdicts, same traces, same
+// coverage, same failure signatures — pinned by comparing
+// scenario::CampaignDigest of both sweeps. This is the compilation
+// contract of docs/DESIGN.md: the DSL adds a parser in front of the
+// existing execution stack, never a different execution.
 
 #include <string>
 

@@ -4,7 +4,10 @@
 // is exercised by scenario_corpus_test.cc; byte-identity of the four
 // ported reproductions by scenario_conformance_test.cc.
 
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -246,7 +249,7 @@ TEST(ScenarioExecutor, RunModeIsByteIdenticalToTheLegacyDirectedCase) {
   const RunOutcome outcome = RunScenarioVariant(scn, Variant::kFlawed);
   EXPECT_TRUE(outcome.passed);
   const neat::ExecutionResult legacy =
-      neat::RunPbkvTestCase(pbkv::VoltDbOptions(), DirtyReadCase(), scn.seed);
+      neat::PbkvCaseExecutor(pbkv::VoltDbOptions())(DirtyReadCase(), scn.seed);
   EXPECT_EQ(outcome.digest, ResultDigest(legacy));
   EXPECT_EQ(outcome.signature, neat::FailureSignature(legacy));
 }
@@ -257,7 +260,7 @@ TEST(ScenarioExecutor, CaseExecutorIsByteIdenticalToTheLegacyExecutor) {
   const neat::TestCase test_case = DirtyReadCase();
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     EXPECT_EQ(ResultDigest(executor(test_case, seed)),
-              ResultDigest(neat::RunPbkvTestCase(pbkv::VoltDbOptions(), test_case, seed)));
+              ResultDigest(neat::PbkvCaseExecutor(pbkv::VoltDbOptions())(test_case, seed)));
   }
 }
 
@@ -266,6 +269,44 @@ TEST(ScenarioExecutor, VariantWithoutAnExpectBlockTriviallyPasses) {
   const RunOutcome outcome = RunScenarioVariant(scn, Variant::kCorrect);
   EXPECT_TRUE(outcome.passed);
   EXPECT_TRUE(outcome.expectations.empty());
+}
+
+// --- executor: the system/preset registry ---
+
+TEST(ScenarioRegistry, UnknownPresetThrows) {
+  Scenario scn;
+  scn.system = "pbkv";
+  scn.preset = "no-such-preset";
+  EXPECT_FALSE(KnownPreset(scn.system, scn.preset));
+  EXPECT_THROW(ScenarioRunnerFactory(scn, Variant::kFlawed), std::invalid_argument);
+  EXPECT_THROW(ScenarioCaseExecutor(scn, Variant::kCorrect), std::invalid_argument);
+}
+
+TEST(ScenarioRegistry, UnknownSystemThrows) {
+  Scenario scn;
+  scn.system = "no-such-system";
+  EXPECT_FALSE(KnownSystem(scn.system));
+  EXPECT_THROW(ScenarioRunnerFactory(scn, Variant::kFlawed), std::invalid_argument);
+  EXPECT_THROW(ScenarioCaseExecutor(scn, Variant::kCorrect), std::invalid_argument);
+}
+
+TEST(ScenarioRegistry, EveryRegisteredPresetBuildsARunnerThatFinishes) {
+  const std::vector<std::pair<std::string, std::string>> presets = RegisteredPresets();
+  ASSERT_FALSE(presets.empty());
+  for (const auto& [system, preset] : presets) {
+    EXPECT_TRUE(KnownSystem(system)) << system;
+    EXPECT_TRUE(KnownPreset(system, preset)) << system << "/" << preset;
+    Scenario scn;
+    scn.system = system;
+    scn.preset = preset;
+    for (const Variant variant : {Variant::kFlawed, Variant::kCorrect}) {
+      const std::unique_ptr<neat::CaseRunner> runner =
+          ScenarioRunnerFactory(scn, variant)(/*seed=*/1);
+      ASSERT_NE(runner, nullptr) << system << "/" << preset;
+      const neat::ExecutionResult result = runner->Finish(neat::TestCase{});
+      EXPECT_EQ(result.trace, neat::FormatTestCase(neat::TestCase{})) << system << "/" << preset;
+    }
+  }
 }
 
 // --- message-level faults: determinism ---
