@@ -30,8 +30,8 @@ namespace {
 constexpr int kNodes = 16;
 constexpr int kRuleCounts[] = {0, 10, 100, 1000};
 
-struct Nop : public net::Message {
-  std::string TypeName() const override { return "Nop"; }
+struct Nop final : public net::Message {
+  std::string_view TypeName() const override { return "Nop"; }
 };
 
 // Keeps measured loops observable so the compiler cannot elide them.

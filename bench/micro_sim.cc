@@ -61,8 +61,8 @@ void BM_SimulatorTimerCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorTimerCancel);
 
-struct Nop : public net::Message {
-  std::string TypeName() const override { return "Nop"; }
+struct Nop final : public net::Message {
+  std::string_view TypeName() const override { return "Nop"; }
 };
 
 void BM_NetworkDelivery(benchmark::State& state) {

@@ -27,9 +27,9 @@ namespace cluster {
 // every server treats *any* message from a member as liveness evidence
 // (FailureDetector::RecordHeartbeat at the top of OnMessage), so there is
 // deliberately no per-type dispatch case for them.
-struct HeartbeatMsg : public net::Message {
+struct HeartbeatMsg final : public net::Message {
   explicit HeartbeatMsg(uint64_t incarnation_in = 0) : incarnation(incarnation_in) {}
-  std::string TypeName() const override { return "Heartbeat"; }
+  std::string_view TypeName() const override { return "Heartbeat"; }
   uint64_t incarnation;
 };
 

@@ -75,14 +75,24 @@ void Process::Every(sim::Duration period, std::function<void()> fn) {
   ScheduleTick(s_.epoch, period, std::move(fn));
 }
 
-void Process::ScheduleTick(uint64_t epoch, sim::Duration period, std::function<void()> fn) {
-  simulator_->Schedule(period, [this, epoch, period, fn = std::move(fn)]() mutable {
-    if (s_.crashed || s_.epoch != epoch) {
+struct Process::TickEvent {
+  Process* process;
+  uint64_t epoch;
+  sim::Duration period;
+  std::function<void()> fn;
+  void operator()() {
+    if (process->s_.crashed || process->s_.epoch != epoch) {
       return;
     }
     fn();
-    ScheduleTick(epoch, period, std::move(fn));
-  });
+    process->ScheduleTick(epoch, period, std::move(fn));
+  }
+};
+
+void Process::ScheduleTick(uint64_t epoch, sim::Duration period, std::function<void()> fn) {
+  static_assert(sim::Callback::kStoredInline<TickEvent>,
+                "a periodic tick must not allocate its event closure");
+  simulator_->Schedule(period, TickEvent{this, epoch, period, std::move(fn)});
 }
 
 void Process::TraceEvent(const std::string& event, const std::string& detail) const {

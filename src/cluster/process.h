@@ -98,6 +98,9 @@ class Process {
   sim::Time Now() const { return simulator_->Now(); }
 
  private:
+  // The closure of a scheduled Every tick, stored inline in its sim::Callback.
+  struct TickEvent;
+
   void RegisterHandler();
   void ScheduleTick(uint64_t epoch, sim::Duration period, std::function<void()> fn);
 

@@ -1,14 +1,17 @@
 // Message types carried by the simulated network.
 //
-// Each system defines its own message structs deriving from net::Message;
-// the network carries them opaquely and handlers downcast on receipt.
+// Each system defines its own message structs deriving directly from
+// net::Message and marked `final`; the network carries them opaquely and
+// handlers dispatch on receipt with net::As<M>, an exact-type check.
 
 #ifndef NET_MESSAGE_H_
 #define NET_MESSAGE_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <string_view>
+#include <type_traits>
+#include <typeinfo>
 #include <vector>
 
 #include "sim/time.h"
@@ -35,9 +38,20 @@ class Message {
  public:
   virtual ~Message() = default;
 
-  // Short human-readable type tag for traces, e.g. "AppendEntries".
-  virtual std::string TypeName() const = 0;
+  // Short human-readable type tag for traces, e.g. "AppendEntries". A
+  // view of a string literal: `return "pbkv.ClientRequest";`.
+  virtual std::string_view TypeName() const = 0;
 };
+
+// The message as an M, or null when it is of another type. M must be final,
+// so an exact typeid match gives the answer dynamic_cast would, without its
+// walk over the class hierarchy.
+template <typename M>
+const M* As(const Message& msg) {
+  static_assert(std::is_final_v<M>, "net::As dispatches on message types marked final");
+  static_assert(std::is_base_of_v<Message, M>);
+  return typeid(msg) == typeid(M) ? static_cast<const M*>(&msg) : nullptr;
+}
 
 // What the network hands to a receiving process.
 struct Envelope {

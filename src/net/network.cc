@@ -1,15 +1,30 @@
 #include "net/network.h"
 
 #include <string>
+#include <string_view>
 
 namespace net {
 namespace {
 
-std::string LinkString(NodeId src, NodeId dst) {
-  return std::to_string(src) + "->" + std::to_string(dst);
+// "src->dst Type" followed by `suffix`, built in one allocation (the ids'
+// strings fit the small-string buffer).
+std::string LinkDetail(NodeId src, NodeId dst, std::string_view type,
+                       std::string_view suffix = {}) {
+  const std::string from = std::to_string(src);
+  const std::string to = std::to_string(dst);
+  std::string detail;
+  detail.reserve(from.size() + 2 + to.size() + 1 + type.size() + suffix.size());
+  detail.append(from).append("->").append(to).append(1, ' ').append(type).append(suffix);
+  return detail;
 }
 
 }  // namespace
+
+struct Network::DeliveryEvent {
+  Network* network;
+  Envelope envelope;
+  void operator()() { network->Deliver(std::move(envelope)); }
+};
 
 void Network::Register(NodeId node, Handler handler) {
   connectivity_.AddNode(node);
@@ -50,22 +65,21 @@ void Network::Send(NodeId src, NodeId dst, std::shared_ptr<const Message> msg) {
   if (simulator_->Trace().causal()) {
     envelope.send_record =
         simulator_->Trace().Append(simulator_->Now(), "net", "send",
-                                   LinkString(src, dst) + " " + envelope.msg->TypeName());
+                                   LinkDetail(src, dst, envelope.msg->TypeName()));
   }
 
   if (!connectivity_.Allows(src, dst)) {
     ++s_.messages_dropped;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
-                               LinkString(src, dst) + " " + envelope.msg->TypeName() +
-                                   " (partitioned at send)");
+                               LinkDetail(src, dst, envelope.msg->TypeName(),
+                                          " (partitioned at send)"));
     return;
   }
   auto loss = s_.link_loss.find({src, dst});
   if (loss != s_.link_loss.end() && s_.rng.NextBool(loss->second)) {
     ++s_.messages_dropped;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
-                               LinkString(src, dst) + " " + envelope.msg->TypeName() +
-                                   " (flaky link)");
+                               LinkDetail(src, dst, envelope.msg->TypeName(), " (flaky link)"));
     return;
   }
 
@@ -81,9 +95,9 @@ void Network::Send(NodeId src, NodeId dst, std::shared_ptr<const Message> msg) {
 }
 
 void Network::ScheduleDelivery(Envelope envelope, sim::Duration delay) {
-  simulator_->Schedule(delay, [this, envelope = std::move(envelope)]() mutable {
-    Deliver(std::move(envelope));
-  });
+  static_assert(sim::Callback::kStoredInline<DeliveryEvent>,
+                "a delivery must not allocate its event closure");
+  simulator_->Schedule(delay, DeliveryEvent{this, std::move(envelope)});
 }
 
 FaultRuleId Network::AddFaultRule(const FaultRule& rule) {
@@ -112,17 +126,17 @@ void Network::FlushHeldMessage(InstalledFault& fault) {
   if (!fault.holding) {
     return;
   }
-  simulator_->Trace().Append(simulator_->Now(), "net", "fault",
-                             LinkString(fault.held.src, fault.held.dst) + " " +
-                                 fault.held.msg->TypeName() + " flush",
-                             fault.held.send_record);
+  simulator_->Trace().Append(
+      simulator_->Now(), "net", "fault",
+      LinkDetail(fault.held.src, fault.held.dst, fault.held.msg->TypeName(), " flush"),
+      fault.held.send_record);
   ScheduleDelivery(std::move(fault.held), fault.held_delay);
   fault.holding = false;
   fault.held = Envelope{};
 }
 
 bool Network::ApplyFaults(Envelope& envelope, sim::Duration* delay) {
-  const std::string type = envelope.msg->TypeName();
+  const std::string_view type = envelope.msg->TypeName();
   for (auto& [id, fault] : s_.faults) {
     const FaultRule& rule = fault.rule;
     if (rule.type_name != type) {
@@ -139,17 +153,19 @@ bool Network::ApplyFaults(Envelope& envelope, sim::Duration* delay) {
     }
     ++fault.matched;
     ++s_.messages_faulted;
-    const std::string link_and_type = LinkString(envelope.src, envelope.dst) + " " + type;
+    const auto detail = [src = envelope.src, dst = envelope.dst, type](std::string_view suffix) {
+      return LinkDetail(src, dst, type, suffix);
+    };
     switch (rule.action) {
       case FaultRule::Action::kDrop:
         ++s_.messages_dropped;
         simulator_->Trace().Append(simulator_->Now(), "net", "drop",
-                                   link_and_type + " (fault drop)", envelope.send_record);
+                                   detail(" (fault drop)"), envelope.send_record);
         return true;
       case FaultRule::Action::kDelay:
         *delay += rule.delay;
         simulator_->Trace().Append(simulator_->Now(), "net", "fault",
-                                   link_and_type + " delay", envelope.send_record);
+                                   detail(" delay"), envelope.send_record);
         return false;  // deliver, later
       case FaultRule::Action::kReorder:
         if (!fault.holding) {
@@ -157,13 +173,13 @@ bool Network::ApplyFaults(Envelope& envelope, sim::Duration* delay) {
           fault.held = std::move(envelope);
           fault.held_delay = *delay;
           simulator_->Trace().Append(simulator_->Now(), "net", "fault",
-                                     link_and_type + " hold", fault.held.send_record);
+                                     detail(" hold"), fault.held.send_record);
           return true;
         }
         // The successor goes out with its own delay; the held predecessor
         // follows just after it, completing the pairwise swap.
         simulator_->Trace().Append(simulator_->Now(), "net", "fault",
-                                   link_and_type + " swap", envelope.send_record);
+                                   detail(" swap"), envelope.send_record);
         ScheduleDelivery(std::move(envelope), *delay);
         ScheduleDelivery(std::move(fault.held), *delay + sim::Microseconds(1));
         fault.holding = false;
@@ -180,8 +196,8 @@ void Network::Deliver(Envelope envelope) {
   if (!connectivity_.Allows(envelope.src, envelope.dst)) {
     ++s_.messages_dropped;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
-                               LinkString(envelope.src, envelope.dst) + " " +
-                                   envelope.msg->TypeName() + " (partitioned in flight)",
+                               LinkDetail(envelope.src, envelope.dst, envelope.msg->TypeName(),
+                                          " (partitioned in flight)"),
                                envelope.send_record);
     return;
   }
@@ -189,8 +205,8 @@ void Network::Deliver(Envelope envelope) {
   if (it == handlers_.end() || !it->second) {
     ++s_.messages_dropped;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
-                               LinkString(envelope.src, envelope.dst) + " " +
-                                   envelope.msg->TypeName() + " (no receiver)",
+                               LinkDetail(envelope.src, envelope.dst, envelope.msg->TypeName(),
+                                          " (no receiver)"),
                                envelope.send_record);
     return;
   }
@@ -201,7 +217,7 @@ void Network::Deliver(Envelope envelope) {
     // follow-on messages) names this delivery as its cause.
     const uint64_t deliver_record = simulator_->Trace().Append(
         simulator_->Now(), "net", "deliver",
-        LinkString(envelope.src, envelope.dst) + " " + envelope.msg->TypeName(),
+        LinkDetail(envelope.src, envelope.dst, envelope.msg->TypeName()),
         envelope.send_record);
     sim::CauseScope scope(simulator_->Trace(), deliver_record);
     it->second(envelope);

@@ -172,6 +172,9 @@ class Network {
   void RestoreState(const State& state) { s_ = state; }
 
  private:
+  // The closure of a scheduled delivery, stored inline in its sim::Callback.
+  struct DeliveryEvent;
+
   void Deliver(Envelope envelope);
   void ScheduleDelivery(Envelope envelope, sim::Duration delay);
   // Returns true when a fault rule consumed the envelope (dropped or held);

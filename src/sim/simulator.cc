@@ -10,24 +10,42 @@ namespace sim {
 
 Simulator::Simulator(uint64_t seed) : rng_(seed) {}
 
-EventId Simulator::Schedule(Duration delay, std::function<void()> fn) {
+EventId Simulator::Schedule(Duration delay, Callback fn) {
   assert(delay >= 0 && "cannot schedule in the past");
   return ScheduleAt(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::ScheduleAt(Time when, std::function<void()> fn) {
+EventId Simulator::ScheduleAt(Time when, Callback fn) {
   assert(when >= now_ && "cannot schedule in the past");
   const EventId id = next_seq_++;
-  heap_.push_back(Event{when, id, std::move(fn)});
   if (retain_events_ && !retention_paused_) {
     // Copy before the event can run: the retained closure must stay
-    // pristine even after the heap's copy runs (mutable lambdas may consume
+    // pristine even after the queued one runs (mutable lambdas may consume
     // their captures when invoked).
-    Retain(heap_.back());
+    Retain(when, id, fn);
   }
-  std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+  Push(when, id, std::move(fn));
   MarkLive(id);
   return id;
+}
+
+void Simulator::Push(Time when, EventId id, Callback fn) {
+  size_t slot;
+  if (heap_.free.empty()) {
+    slot = heap_.slots.size();
+    heap_.slots.push_back(std::move(fn));
+  } else {
+    slot = heap_.free.back();
+    heap_.free.pop_back();
+    heap_.slots[slot] = std::move(fn);
+  }
+  heap_.keys.push_back(Key{when, id, slot});
+  std::push_heap(heap_.keys.begin(), heap_.keys.end(), KeyLater{});
+}
+
+void Simulator::FreeSlot(size_t slot) {
+  heap_.slots[slot].Reset();
+  heap_.free.push_back(slot);
 }
 
 void Simulator::MarkLive(EventId id) {
@@ -46,14 +64,16 @@ void Simulator::MarkLive(EventId id) {
   ++pending_;
 }
 
-void Simulator::Retain(const Event& event) {
-  const size_t slot = event.seq - retained_base_;
+void Simulator::Retain(Time when, EventId id, const Callback& fn) {
+  const size_t slot = id - retained_base_;
   if (slot >= retained_.size()) {
-    retained_.resize(slot + 1);  // ids scheduled while paused stay holes
+    retained_.resize(slot);  // ids scheduled while paused stay holes
+    retained_.emplace_back(when, fn);
   } else if (retained_[slot].fn) {
     return;  // never overwrite an earlier schedule-time copy
+  } else {
+    retained_[slot] = Retained{when, fn};
   }
-  retained_[slot] = event;
   ++retained_count_;
 }
 
@@ -66,41 +86,52 @@ bool Simulator::Cancel(EventId id) {
     return false;
   }
   MarkDead(id);
-  if (heap_.size() > 2 * pending_) {
+  if (heap_.keys.size() > 2 * pending_) {
     CompactHeap();
   }
   return true;
 }
 
 void Simulator::DropCancelled() {
-  while (!heap_.empty() && !IsLive(heap_.front().seq)) {
-    std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-    heap_.pop_back();
+  while (!heap_.keys.empty() && !IsLive(heap_.keys.front().seq)) {
+    std::pop_heap(heap_.keys.begin(), heap_.keys.end(), KeyLater{});
+    FreeSlot(heap_.keys.back().slot);
+    heap_.keys.pop_back();
   }
 }
 
 void Simulator::CompactHeap() {
-  std::erase_if(heap_, [this](const Event& event) { return !IsLive(event.seq); });
-  std::make_heap(heap_.begin(), heap_.end(), EventLater{});
+  std::erase_if(heap_.keys, [this](const Key& key) {
+    if (IsLive(key.seq)) {
+      return false;
+    }
+    FreeSlot(key.slot);
+    return true;
+  });
+  std::make_heap(heap_.keys.begin(), heap_.keys.end(), KeyLater{});
 }
 
 bool Simulator::QueueEmpty() {
   DropCancelled();
-  return heap_.empty();
+  return heap_.keys.empty();
 }
 
 void Simulator::RunOne() {
-  std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-  Event event = std::move(heap_.back());
-  heap_.pop_back();
-  MarkDead(event.seq);
-  now_ = event.when;
+  std::pop_heap(heap_.keys.begin(), heap_.keys.end(), KeyLater{});
+  const Key key = heap_.keys.back();
+  heap_.keys.pop_back();
+  // Move the closure out before running it: the event may schedule others
+  // (reusing its slot, or growing the slot vector under it).
+  Callback fn = std::move(heap_.slots[key.slot]);
+  heap_.free.push_back(key.slot);
+  MarkDead(key.seq);
+  now_ = key.when;
   ++events_executed_;
   // Each event runs with a clean cause context: a BindCause issued inside a
   // handler (cluster/process.cc) is scoped to that event and cannot leak
   // into an unrelated timer callback.
   CauseScope scope(trace_, 0);
-  event.fn();
+  fn();
 }
 
 uint64_t Simulator::RunUntilIdle() {
@@ -134,12 +165,12 @@ void Simulator::SetEventRetention(bool retain) {
     if (!retain_events_) {
       retained_base_ = live_base_;  // no older event can be pending to adopt
     }
-    // Adopt the pending events: heap entries are never invoked in place, so
-    // these copies are as pristine as schedule-time ones (which Retain keeps
-    // for events retained before a pause).
-    for (const Event& event : heap_) {
-      if (IsLive(event.seq)) {
-        Retain(event);
+    // Adopt the pending events: queued closures are never invoked in place,
+    // so these copies are as pristine as schedule-time ones (which Retain
+    // keeps for events retained before a pause).
+    for (const Key& key : heap_.keys) {
+      if (IsLive(key.seq)) {
+        Retain(key.when, key.seq, heap_.slots[key.slot]);
       }
     }
   }
@@ -189,19 +220,23 @@ void Simulator::Restore(const Checkpoint& checkpoint) {
   const auto dead_branch = retained_.begin() + std::min<size_t>(
       retained_.size(), checkpoint.next_seq - std::min(retained_base_, checkpoint.next_seq));
   retained_count_ -= std::count_if(dead_branch, retained_.end(),
-                                   [](const Event& event) { return event.fn != nullptr; });
+                                   [](const Retained& event) { return bool(event.fn); });
   retained_.erase(dead_branch, retained_.end());
   // A checkpoint older than the log has just emptied it: restart it there.
   retained_base_ = std::min(retained_base_, checkpoint.next_seq);
-  heap_.clear();
+  heap_.keys.clear();
+  heap_.slots.clear();
+  heap_.free.clear();
   live_.clear();
   live_base_ = (checkpoint.live.empty() ? checkpoint.next_seq : checkpoint.live.front()) / 64 * 64;
   pending_ = 0;
   for (const EventId id : checkpoint.live) {  // ascending, as MarkLive needs
-    heap_.push_back(retained_[id - retained_base_]);
+    const Retained& event = retained_[id - retained_base_];
+    heap_.keys.push_back(Key{event.when, id, heap_.slots.size()});
+    heap_.slots.push_back(event.fn);
     MarkLive(id);
   }
-  std::make_heap(heap_.begin(), heap_.end(), EventLater{});
+  std::make_heap(heap_.keys.begin(), heap_.keys.end(), KeyLater{});
   now_ = checkpoint.now;
   next_seq_ = checkpoint.next_seq;
   events_executed_ = checkpoint.events_executed;

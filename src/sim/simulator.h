@@ -6,10 +6,12 @@
 // seed and schedule. Events can be cancelled, which is how crashed processes
 // retract their pending timers.
 //
-// The queue is a binary min-heap ordered by (time, sequence) with lazy
-// cancellation: Cancel() clears the event's bit in a liveness bitmap indexed
-// by id (ids are issued consecutively, so it need only span the ids from the
-// oldest pending event on) and the tombstoned heap entry is discarded when it
+// The queue is a binary min-heap of 24-byte (time, sequence, slot) keys; the
+// closures stay put in a slot vector (slots freed by run events are reused),
+// so heap sifts move keys, never closures. Cancellation is lazy: Cancel()
+// clears the event's bit in a liveness bitmap indexed by id (ids are issued
+// consecutively, so it need only span the ids from the oldest pending event
+// on) and the tombstoned key, with its closure, is discarded when it
 // surfaces or when tombstones outnumber half the heap.
 //
 // The kernel also supports checkpoint/restore (Snapshot/Restore) for the
@@ -23,9 +25,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 #include "sim/trace.h"
@@ -51,10 +53,10 @@ class Simulator {
   // Schedules `fn` to run `delay` microseconds from now. A zero delay runs
   // the event on the next loop iteration, after already-queued events at the
   // current time.
-  EventId Schedule(Duration delay, std::function<void()> fn);
+  EventId Schedule(Duration delay, Callback fn);
 
   // Schedules at an absolute virtual time, which must be >= Now().
-  EventId ScheduleAt(Time when, std::function<void()> fn);
+  EventId ScheduleAt(Time when, Callback fn);
 
   // Cancels a pending event. Returns false if the event already ran (or is
   // running), was already cancelled, or was never issued.
@@ -79,7 +81,7 @@ class Simulator {
   size_t pending_events() const { return pending_; }
   // Raw heap entries including tombstones — exposed so tests can pin the
   // compaction bound (heap size stays O(live) under cancel-heavy load).
-  size_t heap_size() const { return heap_.size(); }
+  size_t heap_size() const { return heap_.keys.size(); }
   // Ids the liveness bitmap spans — exposed so tests can pin it to O(window).
   size_t liveness_window() const { return 64 * live_.size(); }
 
@@ -87,7 +89,7 @@ class Simulator {
   //
   // A Checkpoint is a value: plain scalars, an Rng copy, and the sorted ids
   // of the events that were live at capture time. It deliberately holds no
-  // std::function — the closures themselves are recovered from the retention
+  // closure — the closures themselves are recovered from the retention
   // vector on Restore, so a checkpoint can be copied, stored in an LRU, or
   // compared without touching captured state.
   struct Checkpoint {
@@ -100,7 +102,7 @@ class Simulator {
   };
 
   // Event retention keeps a pristine schedule-time copy of every event's
-  // closure (heap entries are never invoked in place, so copies taken when
+  // closure (queued closures are never invoked in place, so copies taken when
   // retention is switched on are equally pristine). Required for Restore;
   // Snapshot records only ids and works either way.
   void SetEventRetention(bool retain);
@@ -132,16 +134,28 @@ class Simulator {
   void Restore(const Checkpoint& checkpoint);
 
  private:
-  struct Event {
+  // A heap entry: the event's order and where its closure lives.
+  struct Key {
     Time when;
     uint64_t seq;  // doubles as the EventId
-    std::function<void()> fn;
+    size_t slot;   // index into Queue::slots
   };
   // Min-heap comparator for std::push_heap/pop_heap (which build max-heaps).
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
+  struct KeyLater {
+    bool operator()(const Key& a, const Key& b) const {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
+  };
+  struct Queue {
+    std::vector<Key> keys;        // the heap
+    std::vector<Callback> slots;  // closures of pending (and tombstoned) keys
+    std::vector<size_t> free;     // empty slots, reused last-freed first
+  };
+  // A retention-log entry: an event's schedule time and pristine closure
+  // (empty for an id that was never retained).
+  struct Retained {
+    Time when = kTimeZero;
+    Callback fn;
   };
   // live_base_ is a multiple of 64, so an id's bit in its word is id % 64.
   bool IsLive(EventId id) const {  // id - live_base_ wraps below the base
@@ -153,8 +167,12 @@ class Simulator {
   }
   // Sets an id's bit, sliding the bitmap forward; ids arrive ascending.
   void MarkLive(EventId id);
+  // Parks a closure in a free slot and pushes its key.
+  void Push(Time when, EventId id, Callback fn);
+  // Destroys a slot's closure and returns the slot to the free list.
+  void FreeSlot(size_t slot);
   // Copies an event into its retention slot unless the slot is filled.
-  void Retain(const Event& event);
+  void Retain(Time when, EventId id, const Callback& fn);
   // Pops cancelled entries off the top until the heap is empty or live.
   void DropCancelled();
   // Rebuilds the heap without tombstones (run when they exceed half of it;
@@ -163,7 +181,7 @@ class Simulator {
   // True when no live event remains (prunes tombstones first).
   bool QueueEmpty();
   // The time of the earliest live event. Requires !QueueEmpty().
-  Time NextEventTime() const { return heap_.front().when; }
+  Time NextEventTime() const { return heap_.keys.front().when; }
   // Pops and runs the earliest live event. Requires !QueueEmpty().
   void RunOne();
 
@@ -171,7 +189,7 @@ class Simulator {
   uint64_t next_seq_ = 1;
   uint64_t events_executed_ = 0;
   // detlint: allow(snapshot-field): a checkpoint records only live ids; Restore rebuilds the heap from their retention slots
-  std::vector<Event> heap_;
+  Queue heap_;
   // Liveness bitmap: bit b of live_[w] is id live_base_ + 64 * w + b.
   std::vector<uint64_t> live_;
   EventId live_base_ = 0;  // a multiple of 64
@@ -182,7 +200,7 @@ class Simulator {
   // Pristine copies for Restore: slot i holds id retained_base_ + i (an
   // empty fn if it was never retained), so a dead branch is one suffix.
   // detlint: allow(snapshot-field): the durable event log the checkpoint indexes into; Restore replays it, a snapshot could not copy its closures
-  std::vector<Event> retained_;
+  std::vector<Retained> retained_;
   // detlint: allow(snapshot-field): indexes the retention log, which outlives every checkpoint; moves only when retention starts or empties
   EventId retained_base_ = 0;
   // detlint: allow(snapshot-field): a count over the retention log's filled slots, maintained wherever they change

@@ -55,43 +55,43 @@ struct Record {
   }
 };
 
-struct ClientKvRequest : public net::Message {
-  std::string TypeName() const override { return "ekv.ClientRequest"; }
+struct ClientKvRequest final : public net::Message {
+  std::string_view TypeName() const override { return "ekv.ClientRequest"; }
   uint64_t request_id = 0;
   enum class Op { kPut, kGet, kDelete } op = Op::kPut;
   std::string key;
   std::string value;
 };
 
-struct ClientKvReply : public net::Message {
-  std::string TypeName() const override { return "ekv.ClientReply"; }
+struct ClientKvReply final : public net::Message {
+  std::string_view TypeName() const override { return "ekv.ClientReply"; }
   uint64_t request_id = 0;
   bool ok = false;
   std::string value;
 };
 
 // Coordinator -> replica: store this record (write or tombstone).
-struct ReplicaWrite : public net::Message {
-  std::string TypeName() const override { return "ekv.ReplicaWrite"; }
+struct ReplicaWrite final : public net::Message {
+  std::string_view TypeName() const override { return "ekv.ReplicaWrite"; }
   uint64_t txn_id = 0;
   std::string key;
   Record record;
 };
 
-struct ReplicaWriteAck : public net::Message {
-  std::string TypeName() const override { return "ekv.ReplicaWriteAck"; }
+struct ReplicaWriteAck final : public net::Message {
+  std::string_view TypeName() const override { return "ekv.ReplicaWriteAck"; }
   uint64_t txn_id = 0;
 };
 
 // Coordinator -> replica: what is your record for `key`?
-struct ReplicaRead : public net::Message {
-  std::string TypeName() const override { return "ekv.ReplicaRead"; }
+struct ReplicaRead final : public net::Message {
+  std::string_view TypeName() const override { return "ekv.ReplicaRead"; }
   uint64_t txn_id = 0;
   std::string key;
 };
 
-struct ReplicaReadReply : public net::Message {
-  std::string TypeName() const override { return "ekv.ReplicaReadReply"; }
+struct ReplicaReadReply final : public net::Message {
+  std::string_view TypeName() const override { return "ekv.ReplicaReadReply"; }
   uint64_t txn_id = 0;
   // All sibling records this replica holds for the key (empty if none).
   std::vector<Record> records;
@@ -99,8 +99,8 @@ struct ReplicaReadReply : public net::Message {
 
 // Anti-entropy: full-store digest exchange (small stores; the real systems
 // use Merkle trees, which only changes the transfer cost).
-struct SyncOffer : public net::Message {
-  std::string TypeName() const override { return "ekv.SyncOffer"; }
+struct SyncOffer final : public net::Message {
+  std::string_view TypeName() const override { return "ekv.SyncOffer"; }
   std::map<std::string, std::vector<Record>> records;
 };
 

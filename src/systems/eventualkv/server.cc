@@ -350,11 +350,11 @@ void Server::OnMessage(const net::Envelope& envelope) {
     detector_.RecordHeartbeat(envelope.src, Now());
   }
   const net::Message& msg = *envelope.msg;
-  if (auto* request = dynamic_cast<const ClientKvRequest*>(&msg)) {
+  if (auto* request = net::As<ClientKvRequest>(msg)) {
     HandleClientRequest(envelope, *request);
     return;
   }
-  if (auto* write = dynamic_cast<const ReplicaWrite*>(&msg)) {
+  if (auto* write = net::As<ReplicaWrite>(msg)) {
     Merge(write->key, write->record);
     if (write->txn_id != 0) {
       auto ack = std::make_shared<ReplicaWriteAck>();
@@ -363,7 +363,7 @@ void Server::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (auto* ack = dynamic_cast<const ReplicaWriteAck*>(&msg)) {
+  if (auto* ack = net::As<ReplicaWriteAck>(msg)) {
     if (ack->txn_id >= (1ULL << 32)) {
       // A delivered hint.
       hints_.erase(std::remove_if(hints_.begin(), hints_.end(),
@@ -380,7 +380,7 @@ void Server::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (auto* read = dynamic_cast<const ReplicaRead*>(&msg)) {
+  if (auto* read = net::As<ReplicaRead>(msg)) {
     auto reply = std::make_shared<ReplicaReadReply>();
     reply->txn_id = read->txn_id;
     auto it = store_.find(read->key);
@@ -390,7 +390,7 @@ void Server::OnMessage(const net::Envelope& envelope) {
     SendEnvelope(envelope.src, reply);
     return;
   }
-  if (auto* read_reply = dynamic_cast<const ReplicaReadReply*>(&msg)) {
+  if (auto* read_reply = net::As<ReplicaReadReply>(msg)) {
     auto it = pending_.find(read_reply->txn_id);
     if (it != pending_.end() && it->second.is_read) {
       it->second.collected.insert(it->second.collected.end(), read_reply->records.begin(),
@@ -402,7 +402,7 @@ void Server::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (auto* offer = dynamic_cast<const SyncOffer*>(&msg)) {
+  if (auto* offer = net::As<SyncOffer>(msg)) {
     for (const auto& [key, records] : offer->records) {
       for (const Record& record : records) {
         Merge(key, record);

@@ -99,7 +99,7 @@ void Client::Complete(check::OpStatus status, int64_t counter_value) {
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
-  const auto* reply = dynamic_cast<const ClientLockReply*>(envelope.msg.get());
+  const auto* reply = net::As<ClientLockReply>(*envelope.msg);
   if (reply == nullptr || !s_.outstanding || reply->request_id != s_.current_request_id) {
     return;
   }

@@ -15,8 +15,8 @@ enum class ClientOp { kAcquire, kRelease, kIncrement };
 
 // --- client <-> coordinator replica ---
 
-struct ClientLockRequest : public net::Message {
-  std::string TypeName() const override { return "locksvc.ClientLockRequest"; }
+struct ClientLockRequest final : public net::Message {
+  std::string_view TypeName() const override { return "locksvc.ClientLockRequest"; }
   uint64_t request_id = 0;
   ResourceKind kind = ResourceKind::kLock;
   ClientOp op = ClientOp::kAcquire;
@@ -24,23 +24,23 @@ struct ClientLockRequest : public net::Message {
   int permits = 1;  // semaphore capacity, fixed at first acquire
 };
 
-struct ClientLockReply : public net::Message {
-  std::string TypeName() const override { return "locksvc.ClientLockReply"; }
+struct ClientLockReply final : public net::Message {
+  std::string_view TypeName() const override { return "locksvc.ClientLockReply"; }
   uint64_t request_id = 0;
   bool ok = false;
   int64_t counter_value = 0;  // for kIncrement
 };
 
 // Holding clients renew their lease through their coordinator.
-struct KeepAlive : public net::Message {
-  std::string TypeName() const override { return "locksvc.KeepAlive"; }
+struct KeepAlive final : public net::Message {
+  std::string_view TypeName() const override { return "locksvc.KeepAlive"; }
   int client = 0;
 };
 
 // --- coordinator <-> peer replicas (one round, then commit/abort) ---
 
-struct PeerApply : public net::Message {
-  std::string TypeName() const override { return "locksvc.PeerApply"; }
+struct PeerApply final : public net::Message {
+  std::string_view TypeName() const override { return "locksvc.PeerApply"; }
   uint64_t txn_id = 0;
   ResourceKind kind = ResourceKind::kLock;
   ClientOp op = ClientOp::kAcquire;
@@ -52,16 +52,16 @@ struct PeerApply : public net::Message {
   int64_t counter_value = 0;
 };
 
-struct PeerAck : public net::Message {
-  std::string TypeName() const override { return "locksvc.PeerAck"; }
+struct PeerAck final : public net::Message {
+  std::string_view TypeName() const override { return "locksvc.PeerAck"; }
   uint64_t txn_id = 0;
   bool granted = false;
   int64_t counter_value = 0;
 };
 
 // Rolls back a PeerApply whose transaction failed to reach quorum.
-struct PeerAbort : public net::Message {
-  std::string TypeName() const override { return "locksvc.PeerAbort"; }
+struct PeerAbort final : public net::Message {
+  std::string_view TypeName() const override { return "locksvc.PeerAbort"; }
   uint64_t txn_id = 0;
   ResourceKind kind = ResourceKind::kLock;
   ClientOp op = ClientOp::kAcquire;

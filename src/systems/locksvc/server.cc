@@ -201,15 +201,15 @@ void Server::OnMessage(const net::Envelope& envelope) {
     }
   }
   const net::Message& msg = *envelope.msg;
-  if (auto* request = dynamic_cast<const ClientLockRequest*>(&msg)) {
+  if (auto* request = net::As<ClientLockRequest>(msg)) {
     HandleClientRequest(envelope, *request);
-  } else if (auto* apply = dynamic_cast<const PeerApply*>(&msg)) {
+  } else if (auto* apply = net::As<PeerApply>(msg)) {
     HandlePeerApply(envelope, *apply);
-  } else if (auto* ack = dynamic_cast<const PeerAck*>(&msg)) {
+  } else if (auto* ack = net::As<PeerAck>(msg)) {
     HandlePeerAck(envelope, *ack);
-  } else if (auto* abort = dynamic_cast<const PeerAbort*>(&msg)) {
+  } else if (auto* abort = net::As<PeerAbort>(msg)) {
     HandlePeerAbort(*abort);
-  } else if (auto* keepalive = dynamic_cast<const KeepAlive*>(&msg)) {
+  } else if (auto* keepalive = net::As<KeepAlive>(msg)) {
     HandleKeepAlive(envelope, *keepalive);
   }
 }

@@ -62,7 +62,7 @@ void Node::TryDiscover() {
 
 void Node::OnMessage(const net::Envelope& envelope) {
   const net::Message& msg = *envelope.msg;
-  if (dynamic_cast<const JoinRequest*>(&msg) != nullptr) {
+  if (net::As<JoinRequest>(msg) != nullptr) {
     if (!joined()) {
       return;  // cannot admit anyone into a cluster we are not part of
     }
@@ -73,7 +73,7 @@ void Node::OnMessage(const net::Envelope& envelope) {
     SendEnvelope(envelope.src, accept);
     return;
   }
-  if (auto* accept = dynamic_cast<const JoinAccept*>(&msg)) {
+  if (auto* accept = net::As<JoinAccept>(msg)) {
     if (!joined()) {
       cluster_id_ = accept->cluster_id;
       members_.insert(accept->members.begin(), accept->members.end());
@@ -82,7 +82,7 @@ void Node::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (auto* gossip = dynamic_cast<const MemberGossip*>(&msg)) {
+  if (auto* gossip = net::As<MemberGossip>(msg)) {
     if (!joined() || gossip->cluster_id != cluster_id_) {
       // A different cluster id is not mergeable: this is exactly the
       // permanent split of #1455 — nodes of different clusters ignore each

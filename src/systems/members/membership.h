@@ -39,18 +39,18 @@ inline Options RabbitMqOptions() {
   return options;
 }
 
-struct JoinRequest : public net::Message {
-  std::string TypeName() const override { return "members.JoinRequest"; }
+struct JoinRequest final : public net::Message {
+  std::string_view TypeName() const override { return "members.JoinRequest"; }
 };
 
-struct JoinAccept : public net::Message {
-  std::string TypeName() const override { return "members.JoinAccept"; }
+struct JoinAccept final : public net::Message {
+  std::string_view TypeName() const override { return "members.JoinAccept"; }
   std::string cluster_id;
   std::vector<net::NodeId> members;
 };
 
-struct MemberGossip : public net::Message {
-  std::string TypeName() const override { return "members.Gossip"; }
+struct MemberGossip final : public net::Message {
+  std::string_view TypeName() const override { return "members.Gossip"; }
   std::string cluster_id;
   std::vector<net::NodeId> members;
 };

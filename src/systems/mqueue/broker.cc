@@ -283,11 +283,11 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     s_.detector.RecordHeartbeat(envelope.src, Now());
   }
   const net::Message& msg = *envelope.msg;
-  if (dynamic_cast<const zksvc::ZkPong*>(&msg) != nullptr) {
+  if (net::As<zksvc::ZkPong>(msg) != nullptr) {
     s_.last_zk_pong = Now();
     return;
   }
-  if (auto* create_reply = dynamic_cast<const zksvc::ZkCreateReply*>(&msg)) {
+  if (auto* create_reply = net::As<zksvc::ZkCreateReply>(msg)) {
     s_.create_pending = false;
     if (create_reply->ok) {
       s_.is_master = true;
@@ -301,7 +301,7 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (auto* event = dynamic_cast<const zksvc::ZkEvent*>(&msg)) {
+  if (auto* event = net::As<zksvc::ZkEvent>(msg)) {
     if (event->deleted && !s_.is_master) {
       TryBecomeMaster();
     } else if (!s_.is_master) {
@@ -313,7 +313,7 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (auto* get_reply = dynamic_cast<const zksvc::ZkGetReply*>(&msg)) {
+  if (auto* get_reply = net::As<zksvc::ZkGetReply>(msg)) {
     if (s_.is_master) {
       if (!get_reply->exists) {
         // Our session expired while partitioned away; the entry is gone.
@@ -335,28 +335,28 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (dynamic_cast<const QueueSyncRequest*>(&msg) != nullptr) {
+  if (net::As<QueueSyncRequest>(msg) != nullptr) {
     auto snapshot = std::make_shared<QueueSnapshot>();
     snapshot->queues = s_.queues;
     SendEnvelope(envelope.src, snapshot);
     return;
   }
-  if (auto* snapshot = dynamic_cast<const QueueSnapshot*>(&msg)) {
+  if (auto* snapshot = net::As<QueueSnapshot>(msg)) {
     if (!s_.is_master) {
       s_.queues = snapshot->queues;
       TraceEvent("synced");
     }
     return;
   }
-  if (auto* request = dynamic_cast<const ClientQueueRequest*>(&msg)) {
+  if (auto* request = net::As<ClientQueueRequest>(msg)) {
     HandleClientRequest(envelope, *request);
     return;
   }
-  if (auto* repl = dynamic_cast<const ReplOp*>(&msg)) {
+  if (auto* repl = net::As<ReplOp>(msg)) {
     HandleReplOp(envelope, *repl);
     return;
   }
-  if (auto* ack = dynamic_cast<const ReplAck*>(&msg)) {
+  if (auto* ack = net::As<ReplAck>(msg)) {
     HandleReplAck(envelope, *ack);
     return;
   }

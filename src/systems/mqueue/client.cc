@@ -64,7 +64,7 @@ void Client::Complete(check::OpStatus status, const std::string& value) {
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
-  const auto* reply = dynamic_cast<const ClientQueueReply*>(envelope.msg.get());
+  const auto* reply = net::As<ClientQueueReply>(*envelope.msg);
   if (reply == nullptr || !s_.outstanding || reply->request_id != s_.current_request_id) {
     return;
   }

@@ -79,7 +79,7 @@ void Client::Complete(check::OpStatus status, const std::string& value) {
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
-  const auto* reply = dynamic_cast<const ClientReply*>(envelope.msg.get());
+  const auto* reply = net::As<ClientReply>(*envelope.msg);
   if (reply == nullptr || !s_.outstanding || reply->request_id != s_.current_request_id) {
     return;
   }

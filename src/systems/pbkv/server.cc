@@ -277,29 +277,29 @@ void Server::OnMessage(const net::Envelope& envelope) {
     s_.detector.RecordHeartbeat(envelope.src, Now());
   }
   const net::Message& msg = *envelope.msg;
-  if (auto* request = dynamic_cast<const ClientRequest*>(&msg)) {
+  if (auto* request = net::As<ClientRequest>(msg)) {
     HandleClientRequest(envelope, *request);
-  } else if (auto* client_reply = dynamic_cast<const ClientReply*>(&msg)) {
+  } else if (auto* client_reply = net::As<ClientReply>(msg)) {
     HandleForwardedReply(*client_reply);
-  } else if (auto* replicate = dynamic_cast<const Replicate*>(&msg)) {
+  } else if (auto* replicate = net::As<Replicate>(msg)) {
     HandleReplicate(envelope, *replicate);
-  } else if (auto* ack = dynamic_cast<const ReplicateAck*>(&msg)) {
+  } else if (auto* ack = net::As<ReplicateAck>(msg)) {
     HandleReplicateAck(envelope, *ack);
-  } else if (auto* vote_req = dynamic_cast<const RequestVote*>(&msg)) {
+  } else if (auto* vote_req = net::As<RequestVote>(msg)) {
     HandleRequestVote(envelope, *vote_req);
-  } else if (auto* vote = dynamic_cast<const VoteGranted*>(&msg)) {
+  } else if (auto* vote = net::As<VoteGranted>(msg)) {
     HandleVoteGranted(envelope, *vote);
-  } else if (auto* announce = dynamic_cast<const LeaderAnnounce*>(&msg)) {
+  } else if (auto* announce = net::As<LeaderAnnounce>(msg)) {
     HandleLeaderAnnounce(envelope, *announce);
-  } else if (auto* stepdown = dynamic_cast<const StepDownCommand*>(&msg)) {
+  } else if (auto* stepdown = net::As<StepDownCommand>(msg)) {
     HandleStepDownCommand(*stepdown);
-  } else if (dynamic_cast<const SyncRequest*>(&msg) != nullptr) {
+  } else if (net::As<SyncRequest>(msg) != nullptr) {
     HandleSyncRequest(envelope);
-  } else if (auto* snapshot = dynamic_cast<const SyncSnapshot*>(&msg)) {
+  } else if (auto* snapshot = net::As<SyncSnapshot>(msg)) {
     HandleSyncSnapshot(*snapshot);
-  } else if (auto* guard = dynamic_cast<const ReadGuard*>(&msg)) {
+  } else if (auto* guard = net::As<ReadGuard>(msg)) {
     HandleReadGuard(envelope, *guard);
-  } else if (auto* guard_ack = dynamic_cast<const ReadGuardAck*>(&msg)) {
+  } else if (auto* guard_ack = net::As<ReadGuardAck>(msg)) {
     HandleReadGuardAck(envelope, *guard_ack);
   }
   // HeartbeatMsg needs no handling beyond the liveness recording above.

@@ -84,7 +84,7 @@ void Client::Complete(check::OpStatus status, const std::string& value) {
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
-  const auto* resp = dynamic_cast<const ClientResponse*>(envelope.msg.get());
+  const auto* resp = net::As<ClientResponse>(*envelope.msg);
   if (resp == nullptr || !s_.outstanding || resp->request_id != s_.current_request_id) {
     return;
   }

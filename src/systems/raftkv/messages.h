@@ -11,22 +11,22 @@
 
 namespace raftkv {
 
-struct RequestVoteReq : public net::Message {
-  std::string TypeName() const override { return "raft.RequestVote"; }
+struct RequestVoteReq final : public net::Message {
+  std::string_view TypeName() const override { return "raft.RequestVote"; }
   uint64_t term = 0;
   net::NodeId candidate = net::kInvalidNode;
   uint64_t last_log_index = 0;
   uint64_t last_log_term = 0;
 };
 
-struct RequestVoteResp : public net::Message {
-  std::string TypeName() const override { return "raft.RequestVoteResp"; }
+struct RequestVoteResp final : public net::Message {
+  std::string_view TypeName() const override { return "raft.RequestVoteResp"; }
   uint64_t term = 0;
   bool granted = false;
 };
 
-struct AppendEntriesReq : public net::Message {
-  std::string TypeName() const override { return "raft.AppendEntries"; }
+struct AppendEntriesReq final : public net::Message {
+  std::string_view TypeName() const override { return "raft.AppendEntries"; }
   uint64_t term = 0;
   net::NodeId leader = net::kInvalidNode;
   uint64_t prev_log_index = 0;
@@ -35,8 +35,8 @@ struct AppendEntriesReq : public net::Message {
   uint64_t leader_commit = 0;
 };
 
-struct AppendEntriesResp : public net::Message {
-  std::string TypeName() const override { return "raft.AppendEntriesResp"; }
+struct AppendEntriesResp final : public net::Message {
+  std::string_view TypeName() const override { return "raft.AppendEntriesResp"; }
   uint64_t term = 0;
   bool success = false;
   uint64_t match_index = 0;
@@ -45,19 +45,19 @@ struct AppendEntriesResp : public net::Message {
 // Leader -> removed replica: you are no longer part of the configuration.
 // What the replica does next is the crux of RethinkDB #5289: retire with
 // its log intact (correct) or delete the log and forget (flawed).
-struct RemoveNotice : public net::Message {
-  std::string TypeName() const override { return "raft.RemoveNotice"; }
+struct RemoveNotice final : public net::Message {
+  std::string_view TypeName() const override { return "raft.RemoveNotice"; }
   std::vector<net::NodeId> members;  // the new configuration
 };
 
-struct ClientCommand : public net::Message {
-  std::string TypeName() const override { return "raft.ClientCommand"; }
+struct ClientCommand final : public net::Message {
+  std::string_view TypeName() const override { return "raft.ClientCommand"; }
   uint64_t request_id = 0;
   Command command;
 };
 
-struct ClientResponse : public net::Message {
-  std::string TypeName() const override { return "raft.ClientResponse"; }
+struct ClientResponse final : public net::Message {
+  std::string_view TypeName() const override { return "raft.ClientResponse"; }
   uint64_t request_id = 0;
   bool ok = false;
   bool not_leader = false;

@@ -390,17 +390,17 @@ void Server::HandleClientCommand(const net::Envelope& envelope, const ClientComm
 
 void Server::OnMessage(const net::Envelope& envelope) {
   const net::Message& msg = *envelope.msg;
-  if (auto* vote_req = dynamic_cast<const RequestVoteReq*>(&msg)) {
+  if (auto* vote_req = net::As<RequestVoteReq>(msg)) {
     HandleRequestVote(envelope, *vote_req);
-  } else if (auto* vote_resp = dynamic_cast<const RequestVoteResp*>(&msg)) {
+  } else if (auto* vote_resp = net::As<RequestVoteResp>(msg)) {
     HandleRequestVoteResp(envelope, *vote_resp);
-  } else if (auto* append = dynamic_cast<const AppendEntriesReq*>(&msg)) {
+  } else if (auto* append = net::As<AppendEntriesReq>(msg)) {
     HandleAppendEntries(envelope, *append);
-  } else if (auto* append_resp = dynamic_cast<const AppendEntriesResp*>(&msg)) {
+  } else if (auto* append_resp = net::As<AppendEntriesResp>(msg)) {
     HandleAppendEntriesResp(envelope, *append_resp);
-  } else if (auto* command = dynamic_cast<const ClientCommand*>(&msg)) {
+  } else if (auto* command = net::As<ClientCommand>(msg)) {
     HandleClientCommand(envelope, *command);
-  } else if (auto* notice = dynamic_cast<const RemoveNotice*>(&msg)) {
+  } else if (auto* notice = net::As<RemoveNotice>(msg)) {
     const bool excluded = std::find(notice->members.begin(), notice->members.end(), id()) ==
                           notice->members.end();
     if (!s_.removed && excluded) {

@@ -12,57 +12,57 @@ namespace sched {
 
 // --- client <-> ResourceManager / AppMaster ---
 
-struct SubmitTask : public net::Message {
-  std::string TypeName() const override { return "sched.SubmitTask"; }
+struct SubmitTask final : public net::Message {
+  std::string_view TypeName() const override { return "sched.SubmitTask"; }
   uint64_t request_id = 0;
   std::string task_id;
 };
 
-struct SubmitAck : public net::Message {
-  std::string TypeName() const override { return "sched.SubmitAck"; }
+struct SubmitAck final : public net::Message {
+  std::string_view TypeName() const override { return "sched.SubmitAck"; }
   uint64_t request_id = 0;
   bool ok = false;
 };
 
 // Sent by an AppMaster whose commit went through.
-struct ResultNotification : public net::Message {
-  std::string TypeName() const override { return "sched.ResultNotification"; }
+struct ResultNotification final : public net::Message {
+  std::string_view TypeName() const override { return "sched.ResultNotification"; }
   std::string task_id;
   int attempt = 0;
 };
 
 // --- ResourceManager <-> AppMaster host ---
 
-struct StartAppMaster : public net::Message {
-  std::string TypeName() const override { return "sched.StartAppMaster"; }
+struct StartAppMaster final : public net::Message {
+  std::string_view TypeName() const override { return "sched.StartAppMaster"; }
   std::string task_id;
   int attempt = 0;
   net::NodeId client = net::kInvalidNode;
 };
 
-struct AmHeartbeat : public net::Message {
-  std::string TypeName() const override { return "sched.AmHeartbeat"; }
+struct AmHeartbeat final : public net::Message {
+  std::string_view TypeName() const override { return "sched.AmHeartbeat"; }
   std::string task_id;
   int attempt = 0;
 };
 
-struct TaskDone : public net::Message {
-  std::string TypeName() const override { return "sched.TaskDone"; }
+struct TaskDone final : public net::Message {
+  std::string_view TypeName() const override { return "sched.TaskDone"; }
   std::string task_id;
   int attempt = 0;
 };
 
 // --- AppMaster <-> workers ---
 
-struct RunContainer : public net::Message {
-  std::string TypeName() const override { return "sched.RunContainer"; }
+struct RunContainer final : public net::Message {
+  std::string_view TypeName() const override { return "sched.RunContainer"; }
   std::string task_id;
   int attempt = 0;
   int part = 0;
 };
 
-struct ContainerDone : public net::Message {
-  std::string TypeName() const override { return "sched.ContainerDone"; }
+struct ContainerDone final : public net::Message {
+  std::string_view TypeName() const override { return "sched.ContainerDone"; }
   std::string task_id;
   int attempt = 0;
   int part = 0;
@@ -70,27 +70,27 @@ struct ContainerDone : public net::Message {
 
 // --- output store ---
 
-struct RegisterAttempt : public net::Message {
-  std::string TypeName() const override { return "sched.RegisterAttempt"; }
+struct RegisterAttempt final : public net::Message {
+  std::string_view TypeName() const override { return "sched.RegisterAttempt"; }
   std::string task_id;
   int attempt = 0;
 };
 
-struct RecordExecution : public net::Message {
-  std::string TypeName() const override { return "sched.RecordExecution"; }
+struct RecordExecution final : public net::Message {
+  std::string_view TypeName() const override { return "sched.RecordExecution"; }
   std::string task_id;
   int attempt = 0;
   int part = 0;
 };
 
-struct CommitResult : public net::Message {
-  std::string TypeName() const override { return "sched.CommitResult"; }
+struct CommitResult final : public net::Message {
+  std::string_view TypeName() const override { return "sched.CommitResult"; }
   std::string task_id;
   int attempt = 0;
 };
 
-struct CommitAck : public net::Message {
-  std::string TypeName() const override { return "sched.CommitAck"; }
+struct CommitAck final : public net::Message {
+  std::string_view TypeName() const override { return "sched.CommitAck"; }
   std::string task_id;
   int attempt = 0;
   bool accepted = false;

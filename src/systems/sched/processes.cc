@@ -13,16 +13,16 @@ OutputStore::OutputStore(sim::Simulator* simulator, net::Network* network, net::
 
 void OutputStore::OnMessage(const net::Envelope& envelope) {
   const net::Message& msg = *envelope.msg;
-  if (auto* reg = dynamic_cast<const RegisterAttempt*>(&msg)) {
+  if (auto* reg = net::As<RegisterAttempt>(msg)) {
     current_attempt_[reg->task_id] = reg->attempt;
     return;
   }
-  if (auto* record = dynamic_cast<const RecordExecution*>(&msg)) {
+  if (auto* record = net::As<RecordExecution>(msg)) {
     container_runs_.push_back(check::TaskExecution{
         record->task_id + "#p" + std::to_string(record->part), envelope.src, Now()});
     return;
   }
-  if (auto* commit = dynamic_cast<const CommitResult*>(&msg)) {
+  if (auto* commit = net::As<CommitResult>(msg)) {
     bool accepted = true;
     if (options_.fence_commits) {
       auto it = current_attempt_.find(commit->task_id);
@@ -142,11 +142,11 @@ void Worker::OnCommitAck(const CommitAck& msg) {
 
 void Worker::OnMessage(const net::Envelope& envelope) {
   const net::Message& msg = *envelope.msg;
-  if (auto* start = dynamic_cast<const StartAppMaster*>(&msg)) {
+  if (auto* start = net::As<StartAppMaster>(msg)) {
     StartAm(*start);
     return;
   }
-  if (auto* run = dynamic_cast<const RunContainer*>(&msg)) {
+  if (auto* run = net::As<RunContainer>(msg)) {
     // Execute the container: takes time, then reports to the store and the
     // requesting AppMaster.
     const RunContainer job = *run;
@@ -165,11 +165,11 @@ void Worker::OnMessage(const net::Envelope& envelope) {
     });
     return;
   }
-  if (auto* done = dynamic_cast<const ContainerDone*>(&msg)) {
+  if (auto* done = net::As<ContainerDone>(msg)) {
     OnContainerDone(*done);
     return;
   }
-  if (auto* ack = dynamic_cast<const CommitAck*>(&msg)) {
+  if (auto* ack = net::As<CommitAck>(msg)) {
     OnCommitAck(*ack);
     return;
   }
@@ -229,7 +229,7 @@ void ResourceManager::LaunchAttempt(const std::string& task_id, Task& task) {
 
 void ResourceManager::OnMessage(const net::Envelope& envelope) {
   const net::Message& msg = *envelope.msg;
-  if (auto* submit = dynamic_cast<const SubmitTask*>(&msg)) {
+  if (auto* submit = net::As<SubmitTask>(msg)) {
     Task& task = tasks_[submit->task_id];
     task.client = envelope.src;
     LaunchAttempt(submit->task_id, task);
@@ -239,14 +239,14 @@ void ResourceManager::OnMessage(const net::Envelope& envelope) {
     SendEnvelope(envelope.src, ack);
     return;
   }
-  if (auto* hb = dynamic_cast<const AmHeartbeat*>(&msg)) {
+  if (auto* hb = net::As<AmHeartbeat>(msg)) {
     auto it = tasks_.find(hb->task_id);
     if (it != tasks_.end() && it->second.attempt == hb->attempt) {
       it->second.last_am_heartbeat = Now();
     }
     return;
   }
-  if (auto* done = dynamic_cast<const TaskDone*>(&msg)) {
+  if (auto* done = net::As<TaskDone>(msg)) {
     auto it = tasks_.find(done->task_id);
     if (it != tasks_.end()) {
       it->second.done = true;
@@ -302,7 +302,7 @@ int Client::ResultCount(const std::string& task_id) const {
 
 void Client::OnMessage(const net::Envelope& envelope) {
   const net::Message& msg = *envelope.msg;
-  if (auto* ack = dynamic_cast<const SubmitAck*>(&msg)) {
+  if (auto* ack = net::As<SubmitAck>(msg)) {
     if (outstanding_ && ack->request_id == current_request_id_) {
       outstanding_ = false;
       simulator()->Cancel(timeout_timer_);
@@ -315,7 +315,7 @@ void Client::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (auto* note = dynamic_cast<const ResultNotification*>(&msg)) {
+  if (auto* note = net::As<ResultNotification>(msg)) {
     results_.emplace_back(note->task_id, note->attempt);
     return;
   }

@@ -64,11 +64,11 @@ void Registry::FireWatches(const std::string& path, bool deleted) {
 void Registry::OnMessage(const net::Envelope& envelope) {
   Touch(envelope.src);
   const net::Message& msg = *envelope.msg;
-  if (dynamic_cast<const ZkPing*>(&msg) != nullptr) {
+  if (net::As<ZkPing>(msg) != nullptr) {
     Send<ZkPong>(envelope.src);
     return;
   }
-  if (auto* create = dynamic_cast<const ZkCreate*>(&msg)) {
+  if (auto* create = net::As<ZkCreate>(msg)) {
     const bool ok = s_.entries.count(create->path) == 0;
     if (ok) {
       s_.entries[create->path] = Entry{create->data, create->ephemeral, envelope.src};
@@ -81,7 +81,7 @@ void Registry::OnMessage(const net::Envelope& envelope) {
     SendEnvelope(envelope.src, reply);
     return;
   }
-  if (auto* get = dynamic_cast<const ZkGet*>(&msg)) {
+  if (auto* get = net::As<ZkGet>(msg)) {
     auto reply = std::make_shared<ZkGetReply>();
     reply->request_id = get->request_id;
     auto it = s_.entries.find(get->path);
@@ -90,13 +90,13 @@ void Registry::OnMessage(const net::Envelope& envelope) {
     SendEnvelope(envelope.src, reply);
     return;
   }
-  if (auto* del = dynamic_cast<const ZkDelete*>(&msg)) {
+  if (auto* del = net::As<ZkDelete>(msg)) {
     if (s_.entries.erase(del->path) != 0) {
       FireWatches(del->path, /*deleted=*/true);
     }
     return;
   }
-  if (auto* watch = dynamic_cast<const ZkWatch*>(&msg)) {
+  if (auto* watch = net::As<ZkWatch>(msg)) {
     s_.watches[watch->path].insert(envelope.src);
     return;
   }

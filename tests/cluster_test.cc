@@ -15,9 +15,9 @@
 namespace cluster {
 namespace {
 
-struct Note : public net::Message {
+struct Note final : public net::Message {
   explicit Note(std::string text_in = "") : text(std::move(text_in)) {}
-  std::string TypeName() const override { return "Note"; }
+  std::string_view TypeName() const override { return "Note"; }
   std::string text;
 };
 

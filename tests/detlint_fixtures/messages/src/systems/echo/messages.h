@@ -1,6 +1,8 @@
 // Fixture: unhandled-message. PingMsg has a dynamic_cast dispatch site in
 // server.cc; AckMsg is consumed generically and carries a suppression;
 // OrphanMsg is the silent unhandled-protocol-event omission and is flagged.
+// The final pair: FinalPingMsg is dispatched only through net::As (handled),
+// FinalOrphanMsg nowhere (flagged) — `final` must not hide a message type.
 #include <string>
 
 namespace echo {
@@ -17,6 +19,14 @@ struct AckMsg : public net::Message {
 
 struct OrphanMsg : public net::Message {
   std::string TypeName() const override { return "Orphan"; }
+};
+
+struct FinalPingMsg final : public net::Message {
+  std::string_view TypeName() const override { return "FinalPing"; }
+};
+
+struct FinalOrphanMsg final : public net::Message {
+  std::string_view TypeName() const override { return "FinalOrphan"; }
 };
 
 }  // namespace echo

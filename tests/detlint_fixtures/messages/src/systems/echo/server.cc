@@ -1,4 +1,5 @@
-// Fixture: the dispatch site that marks PingMsg handled tree-wide.
+// Fixture: the dispatch sites that mark PingMsg (dynamic_cast) and
+// FinalPingMsg (net::As) handled tree-wide.
 #include "systems/echo/messages.h"
 
 namespace echo {
@@ -6,6 +7,9 @@ namespace echo {
 void OnMessage(const net::Envelope& envelope) {
   if (const auto* ping = dynamic_cast<const PingMsg*>(envelope.msg)) {
     (void)ping;
+  }
+  if (const auto* final_ping = net::As<FinalPingMsg>(*envelope.msg)) {
+    (void)final_ping;
   }
 }
 

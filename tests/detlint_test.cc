@@ -283,10 +283,28 @@ TEST(Rules, SnapshotMustBeConst) {
 
 TEST(Rules, UnhandledMessageSeesCrossFileDispatch) {
   const AnalysisResult result = AnalyzeFixture("messages");
-  ASSERT_EQ(result.findings.size(), 1u);
+  ASSERT_EQ(result.findings.size(), 2u);  // OrphanMsg, then FinalOrphanMsg
   EXPECT_EQ(result.findings[0].rule, "unhandled-message");
   EXPECT_EQ(result.findings[0].subject, "OrphanMsg");
   EXPECT_EQ(result.suppressed, 1);  // AckMsg, suppressed with a reason
+}
+
+TEST(Rules, UnhandledMessageSeesFinalClassesAndAsDispatch) {
+  // A `final` message type is still a message type: FinalOrphanMsg has no
+  // dispatch site and is flagged, while FinalPingMsg, dispatched only by
+  // net::As<FinalPingMsg>, counts as handled.
+  const AnalysisResult result = AnalyzeFixture("messages");
+  std::vector<std::string> flagged;
+  for (const Finding& finding : result.findings) {
+    EXPECT_EQ(finding.rule, "unhandled-message");
+    flagged.push_back(finding.subject);
+  }
+  EXPECT_EQ(flagged, (std::vector<std::string>{"OrphanMsg", "FinalOrphanMsg"}));
+
+  const AnalysisResult solo = AnalyzeFixture("final_orphan");
+  ASSERT_EQ(solo.findings.size(), 1u);
+  EXPECT_EQ(solo.findings[0].rule, "unhandled-message");
+  EXPECT_EQ(solo.findings[0].subject, "FinalOrphanMsg");
 }
 
 TEST(Rules, SuppressionsSilenceButMalformedOnesDoNot) {
@@ -382,6 +400,12 @@ TEST(Cli, GateFailsOnSeededStructuralViolation) {
   // CI's structural negative check: the snapshot_field fixture's seeded
   // capture/restore omission must fail the gate.
   EXPECT_EQ(RunDetlint("--quiet --root " + FixtureRoot("snapshot_field") + " src"), 1);
+}
+
+TEST(Cli, GateFailsOnFinalOrphanMessage) {
+  // CI's unhandled-message negative check: a one-file tree whose only
+  // finding is a `final` message type nothing dispatches.
+  EXPECT_EQ(RunDetlint("--quiet --root " + FixtureRoot("final_orphan") + " src"), 1);
 }
 
 TEST(Cli, ScnFlagRunsTheCorpusRules) {

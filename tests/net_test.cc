@@ -20,9 +20,9 @@
 namespace net {
 namespace {
 
-struct Ping : public Message {
+struct Ping final : public Message {
   explicit Ping(int seq_in = 0) : seq(seq_in) {}
-  std::string TypeName() const override { return "Ping"; }
+  std::string_view TypeName() const override { return "Ping"; }
   int seq;
 };
 
@@ -498,11 +498,19 @@ TEST_F(NetworkTest, CrashedNodeStaysInUniverseAndDropsAsNoReceiver) {
 
 // A second message type so fault-rule matching can be shown to be
 // type-exact (Ping must not match a rule for Pong and vice versa).
-struct Pong : public Message {
+struct Pong final : public Message {
   explicit Pong(int seq_in = 0) : seq(seq_in) {}
-  std::string TypeName() const override { return "Pong"; }
+  std::string_view TypeName() const override { return "Pong"; }
   int seq;
 };
+
+TEST(MessageAs, MatchesOnlyTheExactType) {
+  const Ping ping(7);
+  const Message& msg = ping;
+  ASSERT_EQ(As<Ping>(msg), &ping);
+  EXPECT_EQ(As<Ping>(msg)->seq, 7);
+  EXPECT_EQ(As<Pong>(msg), nullptr);
+}
 
 TEST_F(NetworkTest, FaultDropKillsOnlyTheNamedType) {
   network_.AddFaultRule({.type_name = "Ping", .action = FaultRule::Action::kDrop});

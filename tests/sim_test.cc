@@ -19,6 +19,20 @@
 #include "sim/time.h"
 #include "sim/trace.h"
 
+namespace {
+
+// Counts the closures alive, so a test can check that every copy the queue,
+// the retention log or a running event makes is destroyed exactly once.
+struct LiveToken {
+  explicit LiveToken(int* live_in) : live(live_in) { ++*live; }
+  LiveToken(const LiveToken& other) noexcept : live(other.live) { ++*live; }
+  LiveToken& operator=(const LiveToken&) = delete;
+  ~LiveToken() { --*live; }
+  int* live;
+};
+
+}  // namespace
+
 namespace sim {
 namespace {
 
@@ -535,6 +549,150 @@ TEST(SimulatorSnapshot, SnapshotWhileRetentionIsPausedThrows) {
   EXPECT_NO_THROW(s.Snapshot());
 }
 
+// --- sim::Callback and the slot queue ---
+
+// Wraps a closure with padding that forces it out of the inline buffer.
+template <typename F>
+struct LargeConsumerOf {
+  F fn;
+  char padding[Callback::kInlineSize] = {};
+  void operator()() { fn(); }
+};
+template <typename F>
+LargeConsumerOf<F> LargeConsumer(F fn) {
+  return LargeConsumerOf<F>{std::move(fn)};
+}
+
+// Records where the closure object lives when it runs.
+struct WhereAmI {
+  const void** out;
+  void operator()() { *out = this; }
+};
+// Inline-sized, but its move may throw, so it cannot live in the buffer.
+struct ThrowingMoveWhereAmI {
+  const void** out;
+  ThrowingMoveWhereAmI(const void** out_in) : out(out_in) {}
+  ThrowingMoveWhereAmI(const ThrowingMoveWhereAmI& other) : out(other.out) {}
+  void operator()() { *out = this; }
+};
+
+bool LivesInside(const void* object, const Callback& callback) {
+  const auto* begin = reinterpret_cast<const char*>(&callback);
+  const auto* at = static_cast<const char*>(object);
+  return at >= begin && at < begin + sizeof(Callback);
+}
+
+TEST(CallbackTest, StoresSmallClosuresInlineAndBoxesTheRest) {
+  static_assert(Callback::kStoredInline<WhereAmI>);
+  static_assert(!Callback::kStoredInline<LargeConsumerOf<WhereAmI>>);
+  static_assert(!Callback::kStoredInline<ThrowingMoveWhereAmI>);
+  static_assert(Callback::kStoredInline<std::function<void()>>);
+
+  const void* where = nullptr;
+  Callback small(WhereAmI{&where});
+  small();
+  EXPECT_TRUE(LivesInside(where, small));
+
+  Callback large(LargeConsumer(WhereAmI{&where}));
+  large();
+  EXPECT_FALSE(LivesInside(where, large));
+
+  Callback throwing(ThrowingMoveWhereAmI{&where});
+  throwing();
+  EXPECT_FALSE(LivesInside(where, throwing));
+
+  // Moving a boxed closure hands over the box: the target does not move.
+  const void* before = where;
+  Callback moved(std::move(throwing));
+  moved();
+  EXPECT_EQ(where, before);
+}
+
+TEST(CallbackTest, CopiesOfAMutableClosureStayPristine) {
+  std::vector<std::string> out;
+  const auto consume = [payload = std::string(40, 'x'), &out]() mutable {
+    out.push_back(std::move(payload));  // empties the closure's own copy
+  };
+  for (Callback original : {Callback(consume), Callback(LargeConsumer(consume))}) {
+    out.clear();
+    const Callback copy = original;
+    original();
+    original();
+    Callback replay = copy;
+    replay();
+    EXPECT_EQ(out, (std::vector<std::string>{std::string(40, 'x'), "", std::string(40, 'x')}));
+  }
+}
+
+TEST(CallbackTest, MovedFromCallbackIsEmpty) {
+  int runs = 0;
+  Callback small([&runs]() { ++runs; });
+  Callback large(LargeConsumer([&runs]() { ++runs; }));
+  Callback small_target(std::move(small));
+  Callback large_target;
+  large_target = std::move(large);
+  EXPECT_FALSE(small);
+  EXPECT_FALSE(large);
+  small_target();
+  large_target();
+  EXPECT_EQ(runs, 2);
+  EXPECT_FALSE(Callback());
+}
+
+TEST(CallbackTest, EveryQueuedClosureIsDestroyedExactlyOnce) {
+  int live = 0;
+  {
+    Simulator s;
+    // Between steps the closures alive are exactly the queue's (one per
+    // key, tombstones included) plus the retention log's copies.
+    const auto check = [&](const char* step) {
+      EXPECT_EQ(live, static_cast<int>(s.heap_size() + s.retained_events())) << step;
+    };
+    int ran = 0;
+    const auto event = [&](bool large) -> Callback {
+      const LiveToken token(&live);
+      if (large) {
+        return LargeConsumer([token, &ran]() { ++ran; });
+      }
+      return [token, &ran]() { ++ran; };
+    };
+    std::vector<EventId> ids;
+    for (int i = 0; i < 20; ++i) {
+      ids.push_back(s.Schedule(Milliseconds(1 + i), event(i % 3 == 0)));
+    }
+    check("schedule");
+    s.Cancel(ids[0]);
+    s.Cancel(ids[5]);
+    check("cancel");
+    for (int i = 6; i < 20; ++i) {
+      s.Cancel(ids[i]);  // tombstones outgrow the live half: compaction
+    }
+    EXPECT_LE(s.heap_size(), 2 * s.pending_events() + 1);
+    check("compact");
+    s.RunUntilIdle();
+    EXPECT_EQ(ran, 4);
+    EXPECT_EQ(live, 0);
+
+    s.SetEventRetention(true);
+    for (int i = 0; i < 10; ++i) {
+      s.Schedule(Milliseconds(1 + i), event(i % 2 == 0));
+    }
+    check("retained schedule");
+    const Simulator::Checkpoint checkpoint = s.Snapshot();
+    s.RunFor(Milliseconds(4));
+    check("run");
+    for (int i = 0; i < 5; ++i) {
+      s.Schedule(Milliseconds(1), event(false));  // the branch Restore purges
+    }
+    s.Restore(checkpoint);
+    check("restore");
+    s.RunFor(Milliseconds(2));
+    s.SetEventRetention(false);
+    check("retention off");
+  }
+  EXPECT_EQ(live, 0);  // the simulator's destructor frees the rest
+}
+
 TEST(TraceTest, FilterByComponentPrefix) {
   TraceLog log;
   log.Append(1, "pbkv.n1", "elected");
@@ -818,11 +976,11 @@ struct Reference {
   }
 };
 
-std::function<void()> MakeEvent(sim::Simulator* s, std::vector<int>* log, int tag) {
-  return [s, log, tag]() {
+sim::Callback MakeEvent(sim::Simulator* s, std::vector<int>* log, int tag, int* live) {
+  return [s, log, tag, token = LiveToken(live)]() {
     log->push_back(tag);
     if (tag % 5 == 0) {
-      s->Schedule(tag % 17, MakeEvent(s, log, tag + 1));
+      s->Schedule(tag % 17, MakeEvent(s, log, tag + 1, token.live));
     }
   };
 }
@@ -835,19 +993,38 @@ std::vector<sim::EventId> LiveIds(const Reference& ref) {
   return ids;
 }
 
-TEST(SimulatorOracle, MatchesNaiveReferenceOnRandomPrograms) {
-  for (uint64_t seed = 1; seed <= 500; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
+// A program's operation mix: cumulative thresholds out of 100 (the rest
+// switches retention on or off).
+struct OpMix {
+  uint64_t schedule;
+  uint64_t cancel;
+  uint64_t run;
+  uint64_t idle;
+  uint64_t snapshot;
+  uint64_t restore;
+  uint64_t pause;
+  bool retain_from_start;
+  double cancel_burst;  // chance a cancel step cancels a run of live ids
+};
+
+void RunProgram(uint64_t seed, const OpMix& mix) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  int live = 0;
+  {
     sim::Rng rng(seed);
     sim::Simulator s;
     Reference ref;
+    if (mix.retain_from_start) {
+      s.SetEventRetention(true);
+      ref.SetRetention(true);
+    }
     std::vector<int> log;
     std::vector<std::pair<sim::Simulator::Checkpoint, Reference>> saved;
     sim::EventId max_issued = 0;
     int next_tag = 0;
     for (int step = 0; step < 120; ++step) {
       const uint64_t op = rng.NextBelow(100);
-      if (op < 30) {
+      if (op < mix.schedule) {
         // Mostly single events, sometimes a burst that carries the ids
         // across several bitmap words.
         const uint64_t count = rng.NextBool(0.1) ? 1 + rng.NextBelow(150) : 1;
@@ -855,12 +1032,21 @@ TEST(SimulatorOracle, MatchesNaiveReferenceOnRandomPrograms) {
           const sim::Duration delay = static_cast<sim::Duration>(rng.NextBelow(40));
           const int tag = next_tag++;
           const sim::EventId id =
-              rng.NextBool(0.5) ? s.Schedule(delay, MakeEvent(&s, &log, tag))
-                                : s.ScheduleAt(s.Now() + delay, MakeEvent(&s, &log, tag));
+              rng.NextBool(0.5) ? s.Schedule(delay, MakeEvent(&s, &log, tag, &live))
+                                : s.ScheduleAt(s.Now() + delay, MakeEvent(&s, &log, tag, &live));
           ASSERT_EQ(id, ref.next_seq);
           ref.Schedule(ref.now + delay, tag);
         }
-      } else if (op < 50) {
+      } else if (op < mix.cancel && rng.NextBool(mix.cancel_burst)) {
+        // Cancel a run of live ids: tombstones pile up and the heap compacts.
+        const size_t count = std::min<size_t>(ref.live.size(), 1 + rng.NextBelow(24));
+        for (size_t i = 0; i < count; ++i) {
+          const sim::EventId id =
+              std::next(ref.live.begin(), rng.NextBelow(ref.live.size()))->first;
+          ASSERT_TRUE(s.Cancel(id));
+          ref.Cancel(id);
+        }
+      } else if (op < mix.cancel) {
         sim::EventId id = sim::kInvalidEventId;
         switch (rng.NextBelow(4)) {
           case 0:  // a live id, when there is one
@@ -878,7 +1064,7 @@ TEST(SimulatorOracle, MatchesNaiveReferenceOnRandomPrograms) {
             break;  // kInvalidEventId
         }
         ASSERT_EQ(s.Cancel(id), ref.Cancel(id)) << "cancel " << id;
-      } else if (op < 68) {
+      } else if (op < mix.run) {
         const sim::Duration delta = static_cast<sim::Duration>(rng.NextBelow(30));
         if (rng.NextBool(0.5)) {
           s.RunFor(delta);
@@ -886,10 +1072,10 @@ TEST(SimulatorOracle, MatchesNaiveReferenceOnRandomPrograms) {
           s.RunUntil(s.Now() + delta);
         }
         ref.RunUntil(ref.now + delta, /*advance=*/true);
-      } else if (op < 71) {
+      } else if (op < mix.idle) {
         s.RunUntilIdle();
         ref.RunUntil(std::numeric_limits<sim::Time>::max(), /*advance=*/false);
-      } else if (op < 80) {
+      } else if (op < mix.snapshot) {
         if (ref.paused) {
           ASSERT_THROW(s.Snapshot(), std::logic_error);
         } else {
@@ -898,7 +1084,7 @@ TEST(SimulatorOracle, MatchesNaiveReferenceOnRandomPrograms) {
           ASSERT_EQ(checkpoint.next_seq, ref.next_seq);
           saved.emplace_back(std::move(checkpoint), ref);
         }
-      } else if (op < 90) {
+      } else if (op < mix.restore) {
         if (saved.empty()) {
           continue;
         }
@@ -925,7 +1111,7 @@ TEST(SimulatorOracle, MatchesNaiveReferenceOnRandomPrograms) {
           log = then.log;  // the harness's own state, restored alongside
           ref.log = then.log;
         }
-      } else if (op < 94) {
+      } else if (op < mix.pause) {
         if (ref.retain) {
           s.PauseEventRetention();
           ref.paused = true;
@@ -941,6 +1127,29 @@ TEST(SimulatorOracle, MatchesNaiveReferenceOnRandomPrograms) {
       ASSERT_EQ(s.pending_events(), ref.live.size());
       ASSERT_EQ(s.retained_events(), ref.retained.size());
       ASSERT_EQ(s.event_retention_paused(), ref.paused);
+      ASSERT_EQ(live, static_cast<int>(s.heap_size() + s.retained_events()));
+    }
+  }
+  EXPECT_EQ(live, 0);
+}
+
+TEST(SimulatorOracle, MatchesNaiveReferenceOnRandomPrograms) {
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    RunProgram(seed, OpMix{30, 50, 68, 71, 80, 90, 94, false, 0.0});
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+// Cancel-heavy programs under retention: compaction frees queue slots that
+// later schedules and every Restore refill, so a slot handed to the wrong
+// closure shows up as a diverging execution log.
+TEST(SimulatorOracle, MatchesNaiveReferenceWithCompactionAndRestoreUnderRetention) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    RunProgram(seed, OpMix{32, 62, 74, 75, 84, 97, 98, true, 0.3});
+    if (HasFatalFailure()) {
+      return;
     }
   }
 }
@@ -951,8 +1160,8 @@ TEST(SimulatorOracle, MatchesNaiveReferenceOnRandomPrograms) {
 namespace sim_golden {
 namespace {
 
-struct Ping : public net::Message {
-  std::string TypeName() const override { return "Ping"; }
+struct Ping final : public net::Message {
+  std::string_view TypeName() const override { return "Ping"; }
 };
 
 uint64_t Fnv1a(const std::string& s) {
@@ -1020,8 +1229,8 @@ TEST(DeterminismGolden, EventQueueReplaysTheRecordedSchedules) {
 namespace sim_substream {
 namespace {
 
-struct Ping : public net::Message {
-  std::string TypeName() const override { return "Ping"; }
+struct Ping final : public net::Message {
+  std::string_view TypeName() const override { return "Ping"; }
 };
 
 // Satellite regression: the network draws loss and jitter from its own RNG

@@ -40,9 +40,10 @@
 //   snapshot-nonconst   Snapshot() declarations/definitions not marked
 //                       const — capturing a fork snapshot must not perturb
 //                       the run it captures (neat/system.h contract)
-//   unhandled-message   a net::Message subclass with no dynamic_cast
-//                       dispatch site anywhere in the tree — the silent
-//                       unhandled-protocol-event omission
+//   unhandled-message   a net::Message subclass (final or not) with no
+//                       net::As or dynamic_cast dispatch site anywhere in
+//                       the tree — the silent unhandled-protocol-event
+//                       omission
 //   bad-suppression     a `detlint: allow(...)` comment without a reason
 //
 // Structural rules (index.h builds a repo-wide class/member model first):

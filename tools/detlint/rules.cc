@@ -626,9 +626,10 @@ void CheckSnapshotConst(const SourceFile& file, std::vector<Finding>* out) {
   }
 }
 
-// Whole-project pass: every net::Message subclass must have a dynamic_cast
-// dispatch site somewhere, or carry an explicit suppression — the silent
-// unhandled-protocol-event omission the paper catalogs.
+// Whole-project pass: every net::Message subclass must have a dispatch site
+// somewhere — `net::As<Name>` or `dynamic_cast<const Name*>` — or carry an
+// explicit suppression: the silent unhandled-protocol-event omission the
+// paper catalogs.
 void CheckUnhandledMessages(const std::vector<SourceFile>& sources,
                             std::vector<Finding>* out) {
   struct MessageDef {
@@ -645,12 +646,13 @@ void CheckUnhandledMessages(const std::vector<SourceFile>& sources,
     const bool collect_defs = !PathContains(file.path, "bench");
     const std::vector<Token>& tokens = file.tokens;
     for (size_t i = 0; i + 2 < tokens.size(); ++i) {
-      // `struct Name : ... Message ... {`
+      // `struct Name [final] : ... Message ... {`
+      const size_t colon = IsIdent(tokens[i + 2], "final") ? i + 3 : i + 2;
       if ((IsIdent(tokens[i], "struct") || IsIdent(tokens[i], "class")) &&
           tokens[i + 1].kind == TokKind::kIdentifier &&
-          i + 2 < tokens.size() && tokens[i + 2].text == ":") {
+          colon < tokens.size() && tokens[colon].text == ":") {
         bool message_base = false;
-        size_t j = i + 2;
+        size_t j = colon;
         for (; j < tokens.size(); ++j) {
           if (tokens[j].kind == TokKind::kPunct && (tokens[j].text == "{" || tokens[j].text == ";")) {
             break;
@@ -664,9 +666,10 @@ void CheckUnhandledMessages(const std::vector<SourceFile>& sources,
           messages.push_back(MessageDef{&file, tokens[i + 1], tokens[i + 1].text});
         }
       }
-      // `dynamic_cast<const ns::Name*>` — the last identifier inside the
-      // template argument is the dispatched message type.
-      if (IsIdent(tokens[i], "dynamic_cast") && NextIs(tokens, i, "<")) {
+      // `dynamic_cast<const ns::Name*>` or `net::As<ns::Name>` — the last
+      // identifier inside the template argument is the dispatched type.
+      if ((IsIdent(tokens[i], "dynamic_cast") || IsIdent(tokens[i], "As")) &&
+          NextIs(tokens, i, "<")) {
         std::string last_ident;
         for (size_t j = i + 2; j < tokens.size(); ++j) {
           if (tokens[j].kind == TokKind::kIdentifier) {
@@ -686,7 +689,7 @@ void CheckUnhandledMessages(const std::vector<SourceFile>& sources,
       continue;
     }
     Emit(*message.file, message.token, "unhandled-message",
-         "message type '" + message.name + "' has no dynamic_cast dispatch site in "
+         "message type '" + message.name + "' has no dispatch site (net::As or dynamic_cast) in "
          "the tree: a node receiving it will drop it on the floor — handle it or "
          "suppress with the reason it is consumed another way",
          message.name, out);
